@@ -19,7 +19,6 @@ from .errors import (
     NoPath,
     RelaysimError,
     SameZone,
-    TickBudgetExceeded,
     UnknownZone,
     UnparsableCommand,
 )
@@ -233,9 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NoPath, RelaysimError) as exc:
-        if isinstance(exc, TickBudgetExceeded):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EXECUTION
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLANNING
     except OSError as exc:

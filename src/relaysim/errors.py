@@ -79,9 +79,5 @@ class PlacementExhausted(RelaysimError):
     pass
 
 
-class TickBudgetExceeded(RelaysimError):
-    pass
-
-
 class NoCompletedTrials(RelaysimError):
     pass

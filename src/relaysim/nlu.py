@@ -6,10 +6,12 @@ an external interpreter that speaks a small JSON contract.
 
 from __future__ import annotations
 
+import http.client
+import json
 import re
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .errors import (
     EndpointUnreachable,
@@ -77,6 +79,31 @@ def parse_command(text: str, smap: SemanticMap) -> TaskSpec:
     return TaskSpec(pickup=pickup, drop=drop, item=item, source_text=text)
 
 
+def _post_json(url: str, payload: dict, timeout: float) -> object:
+    """POST payload as JSON and decode the JSON reply.
+
+    Transport failures and timeouts raise EndpointUnreachable; a non-2xx
+    status or a body that is not JSON raises MalformedResponse.
+    """
+    try:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            raw = resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise MalformedResponse(f"HTTP status {exc.code} from {url}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise EndpointUnreachable(str(exc)) from exc
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise MalformedResponse(f"reply is not JSON: {exc}") from exc
+
+
 def interpret_external(
     text: str, smap: SemanticMap, config: InterpreterConfig
 ) -> TaskSpec:
@@ -90,17 +117,17 @@ def interpret_external(
         raise ValueError("interpret_external requires mode='external'")
     payload = {"command": text, "zones": smap.zone_names()}
     try:
-        resp = requests.post(config.endpoint, json=payload, timeout=config.timeout)
-        body = resp.json()
-        pickup_name = body["pickup"]
-        drop_name = body["drop"]
-        item = str(body["item"])
-    except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+        body = _post_json(config.endpoint, payload, config.timeout)
+        try:
+            pickup_name = body["pickup"]
+            drop_name = body["drop"]
+            item = str(body["item"])
+        except (KeyError, TypeError) as exc:
+            raise MalformedResponse(f"reply lacks a field: {exc!r}") from exc
+    except (EndpointUnreachable, MalformedResponse):
         if config.fallback:
             return parse_command(text, smap)
-        if isinstance(exc, requests.RequestException):
-            raise EndpointUnreachable(str(exc)) from exc
-        raise MalformedResponse(str(exc)) from exc
+        raise
     pickup = resolve_zone(pickup_name, smap)
     drop = resolve_zone(drop_name, smap)
     if pickup == drop:

@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import mean, pstdev
 
 from .coordination import (
     EventKind,
     FsmEvent,
     HandoffMessage,
-    LedStatus,
     MessageBus,
     MessageKind,
     RobotFsm,
@@ -25,7 +24,7 @@ from .coordination import (
     Role,
     fsm_step,
 )
-from .errors import NoCompletedTrials, PlacementExhausted
+from .errors import BlockedEndpoint, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, Workspace, compute_voronoi, dist
 from .nlu import TaskSpec
 from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
@@ -195,32 +194,22 @@ def generate_trial(
 
 
 @dataclass
-class _Goal:
-    point: Point
-    kind: str  # "pickup" | "transfer_out" | "transfer_in" | "drop"
-    cell: GridCell
-
-
-@dataclass
 class _Robot:
+    """Physical state of one robot, plus a projection of its FSM that
+    simulate refreshes after every fsm_step; the FSM owns the leg state."""
+
     rid: int
     cell: GridCell
     fsm: RobotFsm
-    goals: list[_Goal] = field(default_factory=list)
-    goal_idx: int = 0
+    # task-critical cells (pickup/drop) a robot must never rest on at a transfer
+    critical: frozenset[GridCell]
     route: list[GridCell] = field(default_factory=list)
     blocked_ticks: int = 0
     moves: int = 0
-    arrived: bool = False  # arrival event fired for the current goal
-    deferred: list[HandoffMessage] = field(default_factory=list)
-    # task-critical cells (pickup/drop) a robot must never rest on at a transfer
-    critical: frozenset[GridCell] = frozenset()
-
-    @property
-    def goal(self) -> _Goal | None:
-        if self.goal_idx < len(self.goals):
-            return self.goals[self.goal_idx]
-        return None
+    goal: Point | None = None  # fsm.waypoints[0] while navigating
+    goal_cell: GridCell | None = None
+    exact: bool = False  # the goal is the pickup or drop cell, not a transfer
+    waiting: bool = False  # at the incoming transfer, waiting for the item
 
 
 def _chebyshev(a: GridCell, b: GridCell) -> int:
@@ -236,9 +225,7 @@ def _build_robots(
     task = plan.task
     active = plan.active
     k = len(active)
-    pickup_cell = cell_of(task.pickup, grid)
-    drop_cell = cell_of(task.drop, grid)
-    critical = frozenset((pickup_cell, drop_cell))
+    critical = frozenset((cell_of(task.pickup, grid), cell_of(task.drop, grid)))
 
     robots: dict[int, _Robot] = {}
     for rid, pos in placements:
@@ -253,32 +240,18 @@ def _build_robots(
             role = Role.INITIATOR
         else:
             role = Role.INITIATOR if first else Role.FINAL if last else Role.INTERMEDIATE
-        incoming = plan.transfers[j - 1] if not first else None
-        outgoing = plan.transfers[j] if not last else None
-        fsm = RobotFsm(
+        robots[rid].fsm = RobotFsm(
             robot_id=rid,
             role=role,
             task_id=task_id,
             item=task.item,
             pickup_at=task.pickup if first else None,
             drop_at=task.drop if last else None,
-            incoming_transfer=incoming,
-            outgoing_transfer=outgoing,
+            incoming_transfer=plan.transfers[j - 1] if not first else None,
+            outgoing_transfer=plan.transfers[j] if not last else None,
             peer_prev=active[j - 1] if not first else None,
             peer_next=active[j + 1] if not last else None,
         )
-        goals: list[_Goal] = []
-        if first:
-            goals.append(_Goal(task.pickup, "pickup", pickup_cell))
-        else:
-            goals.append(_Goal(incoming, "transfer_in", cell_of(incoming, grid)))
-        if not last:
-            goals.append(_Goal(outgoing, "transfer_out", cell_of(outgoing, grid)))
-        else:
-            goals.append(_Goal(task.drop, "drop", drop_cell))
-        rb = robots[rid]
-        rb.fsm = fsm
-        rb.goals = goals
     return robots
 
 
@@ -287,22 +260,20 @@ def _plan_route(
     grid: OccupancyGrid,
     occupied: dict[GridCell, int] | None = None,
 ) -> list[GridCell]:
-    goal = robot.goal
-    if goal is None:
-        return []
-    if goal.kind in ("transfer_in", "transfer_out"):
+    goal = robot.goal_cell
+    if robot.exact:
+        targets = [goal]
+    else:
         # any non-critical cell within one diagonal of the transfer cell works
-        targets = [goal.cell] if goal.cell not in robot.critical else []
+        targets = [goal] if goal not in robot.critical else []
         for dc, dr in _NEIGHBOR_OFFSETS:
-            cand = GridCell(goal.cell.col + dc, goal.cell.row + dr)
+            cand = GridCell(goal.col + dc, goal.row + dr)
             if (
                 grid.in_bounds(cand)
                 and not grid.is_blocked(cand)
                 and cand not in robot.critical
             ):
                 targets.append(cand)
-    else:
-        targets = [goal.cell]
     extra = set()
     if occupied:
         extra = {c for c, rid in occupied.items() if rid != robot.rid}
@@ -313,29 +284,23 @@ def _plan_route(
             continue
         work = grid
         if extra:
-            try:
-                work = OccupancyGrid(
-                    workspace=grid.workspace,
-                    blocked=grid.blocked | frozenset(extra - {target, robot.cell}),
-                )
-            except Exception:
-                work = grid
+            work = OccupancyGrid(
+                workspace=grid.workspace,
+                blocked=grid.blocked | frozenset(extra - {target, robot.cell}),
+            )
         try:
             path = astar(work, robot.cell, target)
-        except Exception:
+        except (NoPath, BlockedEndpoint):
             continue
         return list(path.cells[1:])
     return []
 
 
-def _goal_arrived(robot: _Robot, grid: OccupancyGrid) -> bool:
-    goal = robot.goal
-    if goal is None:
-        return False
-    if goal.kind in ("transfer_in", "transfer_out"):
-        # stop within one cell diagonal, but never rest on the pickup/drop cell
-        return _chebyshev(robot.cell, goal.cell) <= 1 and robot.cell not in robot.critical
-    return robot.cell == goal.cell
+def _at_goal(robot: _Robot) -> bool:
+    if robot.exact:
+        return robot.cell == robot.goal_cell
+    # stop within one cell diagonal, but never rest on the pickup/drop cell
+    return _chebyshev(robot.cell, robot.goal_cell) <= 1 and robot.cell not in robot.critical
 
 
 def simulate(
@@ -353,52 +318,43 @@ def simulate(
     occupied: dict[GridCell, int] = {robots[r].cell: r for r in order}
     if len(occupied) != len(robots):
         raise ValueError("robots must start on distinct cells")
+    cells = {p: cell_of(p, grid) for seg in plan.segments for p in seg[1:]}
 
     completed = False
     done_tick = 0
     trace: list[TickTrace] | None = [] if record_trace else None
 
-    def emit(msgs: list[HandoffMessage]) -> None:
+    def step(rb: _Robot, event: FsmEvent) -> None:
         nonlocal completed
+        rb.fsm, msgs = fsm_step(rb.fsm, event)
         for m in msgs:
-            if m.kind is MessageKind.TASK_COMPLETE:
+            if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
                 completed = True
                 bus.log.append(m)
             else:
                 bus.send(m)
-
-    def step_fsm(rb: _Robot, event: FsmEvent) -> None:
-        rb.fsm, msgs = fsm_step(rb.fsm, event)
-        emit(msgs)
+        fsm = rb.fsm
+        navigating = fsm.state is RobotState.NAVIGATE and bool(fsm.waypoints)
+        rb.goal = fsm.waypoints[0] if navigating else None
+        if rb.goal is not None:
+            carrying = fsm.carrying is not None
+            rb.goal_cell = cells[rb.goal]
+            rb.exact = rb.goal == (fsm.drop_at if carrying else fsm.pickup_at)
+            rb.waiting = (
+                not carrying
+                and fsm.incoming_transfer is not None
+                and len(fsm.waypoints) == 1
+            )
 
     def process_arrivals(rb: _Robot, tick: int) -> None:
         # a single tick can chain arrivals when consecutive goals share a cell
-        while True:
-            goal = rb.goal
-            if goal is None or rb.fsm.state is not RobotState.NAVIGATE:
-                return
-            if not _goal_arrived(rb, grid):
-                return
-            if rb.arrived:
-                return
-            rb.arrived = True
+        while rb.goal is not None and not rb.waiting and _at_goal(rb):
             rb.route = []
-            step_fsm(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick, at=goal.point))
+            step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick, at=rb.goal))
             if rb.fsm.state is RobotState.PICKUP:
-                step_fsm(rb, FsmEvent(EventKind.PICKUP_DONE, tick=tick))
-                rb.goal_idx += 1
-                rb.arrived = False
-                continue
-            if rb.fsm.state is RobotState.DELIVER:
-                step_fsm(rb, FsmEvent(EventKind.DROP_DONE, tick=tick))
-                rb.goal_idx += 1
-                rb.arrived = False
-                return
-            if goal.kind == "transfer_out":
-                return  # Relay state: wait for the ack
-            if goal.kind == "transfer_in":
-                return  # wait for HandoffReady before advancing
-            return
+                step(rb, FsmEvent(EventKind.PICKUP_DONE, tick=tick))
+            elif rb.fsm.state is RobotState.DELIVER:
+                step(rb, FsmEvent(EventKind.DROP_DONE, tick=tick))
 
     def deliver_messages(tick: int) -> None:
         progress = True
@@ -406,49 +362,28 @@ def simulate(
             progress = False
             for rid in order:
                 rb = robots[rid]
-                pending = rb.deferred + bus.poll(rid, tick)
-                rb.deferred = []
-                for msg in pending:
-                    if msg.kind is MessageKind.HANDOFF_READY:
-                        goal = rb.goal
-                        at_transfer = (
-                            goal is not None
-                            and goal.kind == "transfer_in"
-                            and rb.arrived
-                        )
-                        if not at_transfer:
-                            rb.deferred.append(msg)
-                            continue
-                        here = center_of(rb.cell, grid)
-                        step_fsm(
-                            rb,
-                            FsmEvent(
-                                EventKind.MESSAGE_RECEIVED, tick=tick, at=here, message=msg
-                            ),
-                        )
-                        # possession received: move on to the next leg
-                        rb.goal_idx += 1
-                        rb.arrived = False
-                        process_arrivals(rb, tick)
-                        progress = True
-                    elif msg.kind is MessageKind.HANDOFF_ACK:
-                        step_fsm(
-                            rb,
-                            FsmEvent(EventKind.MESSAGE_RECEIVED, tick=tick, message=msg),
-                        )
-                        progress = True
-                    else:  # TASK_COMPLETE is a notification, not an FSM input
-                        progress = True
+                if (
+                    rb.goal is not None
+                    and not rb.waiting
+                    and rb.fsm.carrying is None
+                    and rb.fsm.incoming_transfer is not None
+                ):
+                    continue  # still driving to its incoming transfer: HandoffReady waits
+                for msg in bus.poll(rid, tick):
+                    here = center_of(rb.cell, grid)
+                    step(
+                        rb,
+                        FsmEvent(EventKind.MESSAGE_RECEIVED, tick=tick, at=here, message=msg),
+                    )
+                    process_arrivals(rb, tick)
+                    progress = True
 
     # tick 0: assign segments, then settle arrivals already satisfied
     for rid in order:
         rb = robots[rid]
         if rb.fsm.role is not Role.BYSTANDER:
             seg = plan.segments[plan.active.index(rid)]
-            step_fsm(
-                rb,
-                FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0, waypoints=tuple(seg[1:])),
-            )
+            step(rb, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0, waypoints=tuple(seg[1:])))
             process_arrivals(rb, 0)
     deliver_messages(0)
     if trace is not None:
@@ -466,9 +401,7 @@ def simulate(
         # movement phase: lower ids move first; occupied next cells mean waiting
         for rid in order:
             rb = robots[rid]
-            if rb.fsm.state is not RobotState.NAVIGATE or rb.goal is None or rb.arrived:
-                continue
-            if _goal_arrived(rb, grid):
+            if rb.goal is None or rb.waiting or _at_goal(rb):
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid)
@@ -571,6 +504,8 @@ def run_batch(
             rec = outcome.record
             rec.seed = seed_key
             rec.baseline_total_moves = base.record.total_moves
+            # a truncated baseline's move count is no baseline to compare against
+            rec.completed = rec.completed and base.record.completed
             records.append(rec)
             outcomes.append(outcome)
     return summarize(records), records, outcomes

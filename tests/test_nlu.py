@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from relaysim.errors import (
     EndpointUnreachable,
+    MalformedResponse,
     PointOutsideWorkspace,
     SameZone,
     UnknownZone,
@@ -94,16 +95,19 @@ class TestParseCommand:
 
 class _Handler(BaseHTTPRequestHandler):
     reply: dict = {}
+    status: int = 200
     delay: float = 0.0
     seen: list = []
+    content_types: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
+        _Handler.content_types.append(self.headers["Content-Type"])
         _Handler.seen.append(json.loads(self.rfile.read(length)))
         if _Handler.delay:
             time.sleep(_Handler.delay)
         body = json.dumps(_Handler.reply).encode()
-        self.send_response(200)
+        self.send_response(_Handler.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -119,10 +123,13 @@ def mock_endpoint():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.reply = {}
+    _Handler.status = 200
     _Handler.delay = 0.0
     _Handler.seen = []
+    _Handler.content_types = []
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
 
 
 class TestInterpretExternal:
@@ -133,7 +140,8 @@ class TestInterpretExternal:
         got = interpret_external(text, five_zone_map, cfg)
         want = parse_command(text, five_zone_map)
         assert (got.pickup, got.drop, got.item) == (want.pickup, want.drop, want.item)
-        # wire contract: command plus the known zone names
+        # wire contract: a JSON body with the command plus the known zone names
+        assert _Handler.content_types == ["application/json"]
         assert _Handler.seen[0]["command"] == text
         assert "kitchen" in _Handler.seen[0]["zones"]
 
@@ -162,6 +170,15 @@ class TestInterpretExternal:
         cfg = InterpreterConfig(mode="external", endpoint=mock_endpoint, timeout=2.0)
         got = interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
         assert got.item == "box"
+
+    def test_error_status_without_fallback_raises(self, five_zone_map, mock_endpoint):
+        _Handler.status = 500
+        _Handler.reply = {"pickup": "Kitchen", "drop": "Bedroom", "item": "box"}
+        cfg = InterpreterConfig(
+            mode="external", endpoint=mock_endpoint, timeout=2.0, fallback=False
+        )
+        with pytest.raises(MalformedResponse):
+            interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
 
     def test_external_mode_requires_endpoint(self):
         with pytest.raises(ValueError):
