@@ -1,13 +1,14 @@
 """Command-line driver tying parsing, planning, simulation, and rendering together.
 
-Exit codes: 0 success, 2 command/zone parse failures, 3 planning or geometry
-failures, 4 execution failures, 1 anything else. stdout carries only data;
-diagnostics go to stderr (level via the DELIVER_LOG env var).
+Exit codes: 0 success, 2 usage, command/zone or interpreter-reply failures,
+3 planning or geometry failures, 4 execution failures, 1 anything else (I/O).
+stdout carries only data; diagnostics go to stderr (level: DELIVER_LOG).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -16,13 +17,14 @@ from pathlib import Path
 
 from . import geometry, nlu, planning, render, simulation, world
 from .errors import (
-    NoPath,
+    EndpointUnreachable,
+    MalformedResponse,
     RelaysimError,
     SameZone,
     UnknownZone,
     UnparsableCommand,
 )
-from .geometry import Point, compute_voronoi
+from .geometry import Point, Workspace
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -41,9 +43,12 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_robots(path: str) -> list[tuple[int, Point]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [(int(rid), Point(float(x), float(y))) for rid, x, y in data]
+    return geometry.robots_from_list(json.loads(_read(path)))
 
 
 def _interpreter_config(args: argparse.Namespace) -> nlu.InterpreterConfig:
@@ -65,49 +70,46 @@ def _write_or_stdout(text: str, out: str | None) -> None:
 def cmd_partition(args: argparse.Namespace) -> int:
     _, workspace = world.load_semantic_map(args.map)
     robots = _load_robots(args.robots)
-    diagram = compute_voronoi(robots, workspace)
+    diagram = geometry.compute_voronoi(robots, workspace)
     _write_or_stdout(geometry.diagram_to_json(diagram), args.out)
     if args.svg:
         Path(args.svg).write_text(render.render_partition_svg(diagram), encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def _plan_command(
+    args: argparse.Namespace,
+) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace]:
+    """Interpret --command on --map and plan its relay chain for --robots."""
     smap, workspace = world.load_semantic_map(args.map)
     robots = _load_robots(args.robots)
     task = nlu.interpret(args.command, smap, _interpreter_config(args))
     nlu.validate_task(task, workspace)
+    diagram = geometry.compute_voronoi(robots, workspace)
     grid = world.OccupancyGrid(workspace=workspace)
-    diagram = compute_voronoi(robots, workspace)
-    plan = planning.build_relay_plan(task, robots, diagram, grid)
-    _write_or_stdout(planning.plan_to_json(plan), args.out)
+    return planning.build_relay_plan(task, robots, diagram, grid), robots, workspace
+
+
+def cmd_plan(args: argparse.Namespace) -> int:
+    plan, robots, workspace = _plan_command(args)
+    _write_or_stdout(planning.plan_to_json(plan, robots, workspace), args.out)
     if args.svg:
-        Path(args.svg).write_text(render.render_plan_svg(plan, diagram), encoding="utf-8")
+        svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
+        Path(args.svg).write_text(svg, encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    data = json.loads(_read(args.config)) if args.config else {}
     if args.plan:
-        plan = planning.plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
-        placements = [
-            (rid, plan.segments[i][0]) for i, rid in enumerate(plan.active)
-        ]
-        grid = world.OccupancyGrid(workspace=config.workspace())
-        outcome = simulation.simulate(plan, placements, grid, config, task_id="cli-run")
+        plan, robots, workspace = planning.plan_from_json(_read(args.plan))
     else:
-        smap, workspace = world.load_semantic_map(args.map)
-        robots = _load_robots(args.robots)
-        task = nlu.interpret(args.command, smap, _interpreter_config(args))
-        nlu.validate_task(task, workspace)
-        config = simulation.SimConfig(
-            grid_cols=workspace.grid_cols,
-            grid_rows=workspace.grid_rows,
-            seed=config.seed,
-            message_delay=config.message_delay,
-            tick_budget=config.tick_budget,
-        )
-        outcome = simulation.run_trial(robots, task, config, task_id="cli-run")
+        plan, robots, workspace = _plan_command(args)
+    # min_task_separation only constrains the tasks a batch generates
+    grid_size = {"grid_cols": workspace.grid_cols, "grid_rows": workspace.grid_rows}
+    config = simulation.SimConfig.from_dict({**data, **grid_size, "min_task_separation": 0.0})
+    grid = world.OccupancyGrid(workspace=workspace)
+    outcome = simulation.simulate(plan, robots, grid, config, task_id="cli-run")
     _write_or_stdout(outcome.record.to_json_line() + "\n", args.out)
     if args.messages:
         lines = "".join(m.to_json_line() + "\n" for m in outcome.messages)
@@ -118,46 +120,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_config(args: argparse.Namespace) -> simulation.SimConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if getattr(args, "team_sizes", None):
-        data["team_sizes"] = [int(n) for n in args.team_sizes.split(",")]
-    if getattr(args, "trials", None):
-        data["trials_per_size"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    return simulation.SimConfig.from_dict(data)
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise UnparsableCommand("batch mode requires an explicit --seed")
-    config = _load_config(args)
-    summary, records, _ = simulation.run_batch(config)
-    csv_text = simulation.summary_to_csv(summary)
-    if args.out_csv:
-        Path(args.out_csv).write_text(csv_text, encoding="utf-8")
-    if args.out:
-        lines = "".join(r.to_json_line() + "\n" for r in records)
-        Path(args.out).write_text(lines, encoding="utf-8")
+    data = json.loads(_read(args.config)) if args.config else {}
+    data["seed"] = args.seed
+    if args.team_sizes:
+        data["team_sizes"] = [int(n) for n in args.team_sizes.split(",")]
+    if args.trials:
+        data["trials_per_size"] = args.trials
+    config = simulation.SimConfig.from_dict(data)
+    with contextlib.ExitStack() as stack:
+        # open the outputs first, so a bad path fails before the batch runs
+        csv_out, jsonl_out = (
+            stack.enter_context(open(p, "w", encoding="utf-8")) if p else None
+            for p in (args.out_csv, args.out)
+        )
+        summary, records, _ = simulation.run_batch(config)
+        csv_text = simulation.summary_to_csv(summary)
+        if csv_out:
+            csv_out.write(csv_text)
+        if jsonl_out:
+            jsonl_out.writelines(r.to_json_line() + "\n" for r in records)
     sys.stdout.write(csv_text)
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.plan:
-        plan = planning.plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
-        _, workspace = world.load_semantic_map(args.map)
-        robots = _load_robots(args.robots)
-        diagram = compute_voronoi(robots, workspace)
-        svg = render.render_plan_svg(plan, diagram)
+        plan, robots, workspace = planning.plan_from_json(_read(args.plan))
+        svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
     else:
-        diagram = geometry.diagram_from_json(
-            Path(args.diagram).read_text(encoding="utf-8")
-        )
-        svg = render.render_partition_svg(diagram)
+        svg = render.render_partition_svg(geometry.diagram_from_json(_read(args.diagram)))
     Path(args.svg).write_text(svg, encoding="utf-8")
     return EXIT_OK
 
@@ -190,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="execute one trial")
-    p.add_argument("--plan", default=None, help="plan JSON produced by 'plan'")
-    p.add_argument("--command", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--plan", default=None, help="plan JSON produced by 'plan'")
+    source.add_argument("--command", default=None, help="needs --map and --robots")
     p.add_argument("--map", default=None)
     p.add_argument("--robots", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="SimConfig JSON: tick_budget, message_delay")
     p.add_argument("--out", default=None, help="trial record JSONL (default stdout)")
     p.add_argument("--messages", default=None, help="handoff message log JSONL")
     _add_interpreter_flags(p)
@@ -211,10 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("render", help="render a stored diagram or plan to SVG")
-    p.add_argument("--diagram", default=None)
-    p.add_argument("--plan", default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--robots", default=None)
+    stored = p.add_mutually_exclusive_group(required=True)
+    stored.add_argument("--diagram", default=None)
+    stored.add_argument("--plan", default=None)
     p.add_argument("--svg", required=True)
     p.set_defaults(func=cmd_render)
 
@@ -225,18 +218,20 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is cmd_run and args.command and not (args.map and args.robots):
+        parser.error("run --command requires --map and --robots")
     try:
         return args.func(args)
-    except (UnparsableCommand, UnknownZone, SameZone) as exc:
+    except (UnparsableCommand, UnknownZone, SameZone, MalformedResponse) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoPath, RelaysimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
-    except OSError as exc:
+    except (EndpointUnreachable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
+    except RelaysimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PLANNING
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ separate concern owned by the world module.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -315,17 +316,43 @@ def relay_point(x_i: Point, x_j: Point, edge: SharedEdge) -> tuple[Point, float]
 
 
 # --- serialization -----------------------------------------------------------
+# Points are written inline as [x, y]; point_from_list reads them back.
 
 
-def diagram_to_dict(diagram: VoronoiDiagram) -> dict:
-    ws = diagram.workspace
+def point_from_list(xy: list) -> Point:
+    return Point(float(xy[0]), float(xy[1]))
+
+
+def workspace_to_dict(ws: Workspace) -> dict:
     return {
-        "workspace": {
-            "min": [ws.min_corner.x, ws.min_corner.y],
-            "max": [ws.max_corner.x, ws.max_corner.y],
-            "cols": ws.grid_cols,
-            "rows": ws.grid_rows,
-        },
+        "min": [ws.min_corner.x, ws.min_corner.y],
+        "max": [ws.max_corner.x, ws.max_corner.y],
+        "cols": ws.grid_cols,
+        "rows": ws.grid_rows,
+    }
+
+
+def workspace_from_dict(data: dict) -> Workspace:
+    return Workspace(
+        min_corner=point_from_list(data["min"]),
+        max_corner=point_from_list(data["max"]),
+        grid_cols=int(data["cols"]),
+        grid_rows=int(data["rows"]),
+    )
+
+
+def robots_to_list(robots: list[tuple[int, Point]]) -> list[list]:
+    """Robot placements as [[id, x, y], ...], in the given order."""
+    return [[rid, p.x, p.y] for rid, p in robots]
+
+
+def robots_from_list(data: list) -> list[tuple[int, Point]]:
+    return [(int(rid), Point(float(x), float(y))) for rid, x, y in data]
+
+
+def diagram_to_json(diagram: VoronoiDiagram) -> str:
+    data = {
+        "workspace": workspace_to_dict(diagram.workspace),
         "cells": [
             {
                 "site_id": c.site_id,
@@ -335,34 +362,17 @@ def diagram_to_dict(diagram: VoronoiDiagram) -> dict:
             for c in diagram.cells
         ],
     }
-
-
-def diagram_to_json(diagram: VoronoiDiagram) -> str:
-    import json
-
-    return json.dumps(diagram_to_dict(diagram), indent=2, sort_keys=True) + "\n"
-
-
-def diagram_from_dict(data: dict) -> VoronoiDiagram:
-    ws_raw = data["workspace"]
-    workspace = Workspace(
-        min_corner=Point(*ws_raw["min"]),
-        max_corner=Point(*ws_raw["max"]),
-        grid_cols=int(ws_raw["cols"]),
-        grid_rows=int(ws_raw["rows"]),
-    )
-    cells = tuple(
-        VoronoiCell(
-            site_id=int(c["site_id"]),
-            site=Point(*c["site"]),
-            vertices=tuple(Point(*v) for v in c["vertices"]),
-        )
-        for c in data["cells"]
-    )
-    return VoronoiDiagram(cells=cells, workspace=workspace)
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def diagram_from_json(text: str) -> VoronoiDiagram:
-    import json
-
-    return diagram_from_dict(json.loads(text))
+    data = json.loads(text)
+    cells = tuple(
+        VoronoiCell(
+            site_id=int(c["site_id"]),
+            site=point_from_list(c["site"]),
+            vertices=tuple(point_from_list(v) for v in c["vertices"]),
+        )
+        for c in data["cells"]
+    )
+    return VoronoiDiagram(cells=cells, workspace=workspace_from_dict(data["workspace"]))

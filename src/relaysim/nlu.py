@@ -21,7 +21,7 @@ from .errors import (
     UnknownZone,
     UnparsableCommand,
 )
-from .geometry import Point, Workspace
+from .geometry import Point, Workspace, point_from_list
 from .world import SemanticMap, normalize_zone_name, resolve_zone
 
 _VERBS = ("bring", "take", "deliver", "carry", "move")
@@ -39,6 +39,24 @@ class TaskSpec:
     drop: Point
     item: str
     source_text: str
+
+
+def task_to_dict(task: TaskSpec) -> dict:
+    return {
+        "pickup": [task.pickup.x, task.pickup.y],
+        "drop": [task.drop.x, task.drop.y],
+        "item": task.item,
+        "source_text": task.source_text,
+    }
+
+
+def task_from_dict(data: dict) -> TaskSpec:
+    return TaskSpec(
+        pickup=point_from_list(data["pickup"]),
+        drop=point_from_list(data["drop"]),
+        item=data["item"],
+        source_text=data["source_text"],
+    )
 
 
 @dataclass(frozen=True)

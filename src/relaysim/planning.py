@@ -10,11 +10,17 @@ from .errors import BlockedEndpoint, CellOutOfBounds, NoPath
 from .geometry import (
     Point,
     VoronoiDiagram,
+    Workspace,
     locate,
+    point_from_list,
     relay_point,
+    robots_from_list,
+    robots_to_list,
     shared_edge,
+    workspace_from_dict,
+    workspace_to_dict,
 )
-from .nlu import TaskSpec
+from .nlu import TaskSpec, task_from_dict, task_to_dict
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
 
@@ -195,46 +201,30 @@ def single_agent_baseline(
 # --- serialization -----------------------------------------------------------
 
 
-def _point_to_list(p: Point) -> list[float]:
-    return [p.x, p.y]
-
-
-def plan_to_dict(plan: RelayPlan) -> dict:
-    return {
-        "task": {
-            "pickup": _point_to_list(plan.task.pickup),
-            "drop": _point_to_list(plan.task.drop),
-            "item": plan.task.item,
-            "source_text": plan.task.source_text,
-        },
+def plan_to_json(plan: RelayPlan, robots: list[tuple[int, Point]], workspace: Workspace) -> str:
+    """A self-contained plan file: the plan plus every placement, bystanders
+    included, and the workspace it was planned on."""
+    data = {
+        "task": task_to_dict(plan.task),
         "active": list(plan.active),
-        "transfers": [_point_to_list(z) for z in plan.transfers],
-        "segments": [[_point_to_list(p) for p in seg] for seg in plan.segments],
+        "transfers": [[z.x, z.y] for z in plan.transfers],
+        "segments": [[[p.x, p.y] for p in seg] for seg in plan.segments],
         "baseline": plan.baseline,
         "transfer_fallback": list(plan.transfer_fallback),
+        "robots": robots_to_list(robots),
+        "workspace": workspace_to_dict(workspace),
     }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def plan_to_json(plan: RelayPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
-
-
-def plan_from_dict(data: dict) -> RelayPlan:
-    task = TaskSpec(
-        pickup=Point(*data["task"]["pickup"]),
-        drop=Point(*data["task"]["drop"]),
-        item=data["task"]["item"],
-        source_text=data["task"]["source_text"],
-    )
-    return RelayPlan(
-        task=task,
+def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Workspace]:
+    data = json.loads(text)
+    plan = RelayPlan(
+        task=task_from_dict(data["task"]),
         active=tuple(int(r) for r in data["active"]),
-        transfers=tuple(Point(*z) for z in data["transfers"]),
-        segments=tuple(tuple(Point(*p) for p in seg) for seg in data["segments"]),
+        transfers=tuple(point_from_list(z) for z in data["transfers"]),
+        segments=tuple(tuple(point_from_list(p) for p in seg) for seg in data["segments"]),
         baseline=bool(data["baseline"]),
-        transfer_fallback=tuple(bool(f) for f in data.get("transfer_fallback", [])),
+        transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
     )
-
-
-def plan_from_json(text: str) -> RelayPlan:
-    return plan_from_dict(json.loads(text))
+    return plan, robots_from_list(data["robots"]), workspace_from_dict(data["workspace"])

@@ -26,7 +26,7 @@ from .coordination import (
 )
 from .errors import BlockedEndpoint, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, Workspace, compute_voronoi, dist
-from .nlu import TaskSpec
+from .nlu import TaskSpec, task_to_dict
 from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
@@ -94,12 +94,7 @@ class TrialRecord:
             "trial_id": self.trial_id,
             "team_size": self.team_size,
             "seed": self.seed,
-            "task": {
-                "pickup": [self.task.pickup.x, self.task.pickup.y],
-                "drop": [self.task.drop.x, self.task.drop.y],
-                "item": self.task.item,
-                "source_text": self.task.source_text,
-            },
+            "task": task_to_dict(self.task),
             "active_count": self.active_count,
             "per_agent_moves": {str(k): v for k, v in sorted(self.per_agent_moves.items())},
             "total_moves": self.total_moves,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CellOutOfBounds, PointOutsideWorkspace, UnknownZone
-from .geometry import Point, Workspace
+from .geometry import Point, Workspace, point_from_list, workspace_from_dict, workspace_to_dict
 
 _WS_RE = re.compile(r"\s+")
 
@@ -114,16 +114,8 @@ def resolve_zone(name: str, smap: SemanticMap) -> Point:
 def load_semantic_map(path: str | Path) -> tuple[SemanticMap, Workspace]:
     """Load the zones + workspace JSON file."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    ws_raw = data["workspace"]
-    workspace = Workspace(
-        min_corner=Point(float(ws_raw["min"][0]), float(ws_raw["min"][1])),
-        max_corner=Point(float(ws_raw["max"][0]), float(ws_raw["max"][1])),
-        grid_cols=int(ws_raw["cols"]),
-        grid_rows=int(ws_raw["rows"]),
-    )
-    raw_zones = {
-        name: Point(float(xy[0]), float(xy[1])) for name, xy in data["zones"].items()
-    }
+    workspace = workspace_from_dict(data["workspace"])
+    raw_zones = {name: point_from_list(xy) for name, xy in data["zones"].items()}
     smap = SemanticMap.from_raw(raw_zones)
     for name, anchor in smap.zones.items():
         if not workspace.contains(anchor):
@@ -134,12 +126,7 @@ def load_semantic_map(path: str | Path) -> tuple[SemanticMap, Workspace]:
 def dump_semantic_map(smap: SemanticMap, workspace: Workspace) -> str:
     data = {
         "zones": {name: [p.x, p.y] for name, p in sorted(smap.zones.items())},
-        "workspace": {
-            "min": [workspace.min_corner.x, workspace.min_corner.y],
-            "max": [workspace.max_corner.x, workspace.max_corner.y],
-            "cols": workspace.grid_cols,
-            "rows": workspace.grid_rows,
-        },
+        "workspace": workspace_to_dict(workspace),
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 

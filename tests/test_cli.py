@@ -1,10 +1,17 @@
+import hashlib
 import json
+import math
+import socket
 
 import pytest
 
-from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_PARSE, main
+from relaysim import simulation
+from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, main
 from relaysim.planning import plan_from_json
 from relaysim.world import dump_semantic_map
+from test_nlu import _Handler, mock_endpoint  # noqa: F401  (fixture)
+
+COMMAND = "bring the cup from the kitchen to the bedroom"
 
 
 @pytest.fixture
@@ -47,8 +54,8 @@ class TestPlan:
         )
         assert code == EXIT_OK
         data = json.loads(out.read_text(encoding="utf-8"))
-        assert set(data) >= {"task", "active", "transfers", "segments"}
-        plan = plan_from_json(out.read_text(encoding="utf-8"))
+        assert set(data) >= {"task", "active", "transfers", "segments", "robots", "workspace"}
+        plan, _, _ = plan_from_json(out.read_text(encoding="utf-8"))
         assert len(plan.transfers) == len(plan.active) - 1
 
     def test_unknown_zone_exit_code(self, map_file, robots_file, capsys):
@@ -97,7 +104,7 @@ class TestRun:
             ["plan", "--command", "bring the glass of water from the kitchen to the bedroom",
              "--map", map_file, "--robots", robots_file, "--out", str(plan_path)]
         )
-        plan = plan_from_json(plan_path.read_text(encoding="utf-8"))
+        plan, _, _ = plan_from_json(plan_path.read_text(encoding="utf-8"))
         msgs = tmp_path / "messages.jsonl"
         code = main(
             ["run", "--plan", str(plan_path), "--out", str(tmp_path / "rec.jsonl"),
@@ -121,7 +128,130 @@ class TestRun:
         assert code == EXIT_EXECUTION
 
 
+# Maps that are not the 20x20 unit-cell default, each with a team that
+# includes a bystander (the last robot): workspace, zones, robots.
+MAPS = {
+    "30x30": (
+        {"min": [0, 0], "max": [30, 30], "cols": 30, "rows": 30},
+        {"Kitchen": [2.5, 27.5], "Bedroom": [27.5, 2.5]},
+        [[0, 5.5, 20.5], [1, 20.5, 5.5], [3, 12.5, 12.5], [2, 27.5, 27.5]],
+    ),
+    "minus10-10": (
+        {"min": [-10, -10], "max": [10, 10], "cols": 20, "rows": 20},
+        {"Kitchen": [-7.5, 7.5], "Bedroom": [7.5, -7.5]},
+        [[0, -5.5, 2.5], [1, 4.5, -5.5], [3, -0.5, -0.5], [2, 7.5, 7.5]],
+    ),
+    "half-cells": (
+        {"min": [0, 0], "max": [10, 10], "cols": 20, "rows": 20},
+        {"Kitchen": [1.25, 8.75], "Bedroom": [8.75, 1.25]},
+        [[0, 2.75, 6.25], [1, 6.75, 2.75], [3, 4.75, 4.75], [2, 8.75, 8.75]],
+    ),
+    "5x5": (
+        {"min": [0, 0], "max": [5, 5], "cols": 5, "rows": 5},
+        {"Kitchen": [0.5, 4.5], "Bedroom": [4.5, 0.5]},
+        [[0, 1.5, 3.5], [1, 3.5, 1.5], [2, 4.5, 4.5]],
+    ),
+}
+
+
+class TestRunOnAnyMap:
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_stored_plan_runs_like_the_command(self, name, tmp_path):
+        ws, zones, team = MAPS[name]
+        map_path, robots_path = tmp_path / "map.json", tmp_path / "robots.json"
+        map_path.write_text(json.dumps({"workspace": ws, "zones": zones}), encoding="utf-8")
+        robots_path.write_text(json.dumps(team), encoding="utf-8")
+        sources = ["--map", str(map_path), "--robots", str(robots_path)]
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", "--command", COMMAND, *sources, "--out", str(plan_path)]) == EXIT_OK
+        plan, robots, _ = plan_from_json(plan_path.read_text(encoding="utf-8"))
+        assert len(robots) == len(team) and team[-1][0] not in plan.active
+
+        stored, direct = tmp_path / "stored.jsonl", tmp_path / "direct.jsonl"
+        msgs = tmp_path / "messages.jsonl"
+        assert main(["run", "--plan", str(plan_path), "--out", str(stored),
+                     "--messages", str(msgs)]) == EXIT_OK
+        assert main(["run", "--command", COMMAND, *sources, "--out", str(direct)]) == EXIT_OK
+        assert stored.read_bytes() == direct.read_bytes()
+        rec = json.loads(stored.read_text(encoding="utf-8"))
+        assert rec["completed"] is True
+        assert rec["team_size"] == len(team)
+        # a HandoffAck is sent from the receiver's cell centre, so it lies on
+        # the map's own grid, not on a default unit grid
+        cell = [(hi - lo) / n for lo, hi, n in zip(ws["min"], ws["max"], (ws["cols"], ws["rows"]))]
+        messages = [json.loads(line) for line in msgs.read_text(encoding="utf-8").splitlines()]
+        acks = [m["at"] for m in messages if m["kind"] == "HandoffAck"]
+        assert len(acks) == len(plan.transfers) >= 1
+        for at in acks:
+            for v, lo, w in zip(at, ws["min"], cell):
+                k = (v - lo) / w - 0.5
+                assert math.isclose(k, round(k), abs_tol=1e-9)
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["run", "--command", COMMAND],
+            ["run", "--command", COMMAND, "--map", "map.json"],
+            ["run", "--command", COMMAND, "--robots", "robots.json"],
+            ["run", "--plan", "plan.json", "--command", COMMAND],
+            ["render", "--svg", "out.svg"],
+            ["render", "--diagram", "d.json", "--plan", "plan.json", "--svg", "out.svg"],
+        ],
+    )
+    def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestExternalInterpreter:
+    def test_unreachable_endpoint_exits_1(self, map_file, robots_file):
+        with socket.socket() as sock:  # a port that was free a moment ago refuses connections
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        code = main(
+            ["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
+             "--interpreter", "external", "--endpoint", f"http://127.0.0.1:{port}/",
+             "--fallback", "off", "--timeout", "2"]
+        )
+        assert code == EXIT_OTHER
+
+    def test_error_reply_exits_2(self, map_file, robots_file, mock_endpoint):
+        _Handler.status = 500
+        code = main(
+            ["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
+             "--interpreter", "external", "--endpoint", mock_endpoint,
+             "--fallback", "off", "--timeout", "2"]
+        )
+        assert code == EXIT_PARSE
+
+
 class TestBatch:
+    @pytest.mark.parametrize("flag", ["--out-csv", "--out"])
+    def test_bad_output_path_fails_before_the_batch(self, flag, tmp_path, monkeypatch):
+        def run_batch(*args, **kwargs):
+            pytest.fail("run_batch ran although an output could not be opened")
+
+        monkeypatch.setattr(simulation, "run_batch", run_batch)
+        bad = str(tmp_path / "missing" / "out.txt")
+        assert main(["batch", "--seed", "1", "--trials", "1", flag, bad]) == EXIT_OTHER
+
+    def test_default_seed_artifacts_digests(self, tmp_path, capsys):
+        """The default-seed summary.csv / trials.jsonl, byte for byte."""
+        csv, jsonl = tmp_path / "summary.csv", tmp_path / "trials.jsonl"
+        args = ["batch", "--seed", "12345", "--out-csv", str(csv), "--out", str(jsonl)]
+        assert main(args) == EXIT_OK
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "17649d429f443196bcf15ca5b4587cee691d33a4eda92d71585e9144495149ec"
+        )
+        assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == (
+            "96d44651b518e3a6bbe8a1aa9faa008c9a375518a2f3babad1412510b5832eb3"
+        )
+
     def test_requires_seed(self, capsys):
         assert main(["batch", "--team-sizes", "1", "--trials", "1"]) == EXIT_PARSE
 
@@ -161,8 +291,7 @@ class TestRender:
         )
         svg = tmp_path / "plan.svg"
         code = main(
-            ["render", "--plan", str(plan_path), "--map", map_file,
-             "--robots", robots_file, "--svg", str(svg)]
+            ["render", "--plan", str(plan_path), "--svg", str(svg)]
         )
         assert code == EXIT_OK
         assert "<svg" in svg.read_text(encoding="utf-8")

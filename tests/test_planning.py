@@ -248,10 +248,12 @@ class TestSingleAgentBaseline:
 
 
 def test_plan_json_round_trip(workspace20, grid20):
-    robots = [(1, Point(5.5, 10.5)), (2, Point(15.5, 10.5))]
+    # unsorted ids and a bystander (7): the file keeps every placement, in order
+    robots = [(2, Point(15.5, 10.5)), (1, Point(5.5, 10.5)), (7, Point(10.5, 1.5))]
     d = compute_voronoi(robots, workspace20)
     task = TaskSpec(Point(2.5, 10.5), Point(17.5, 10.5), "glass of water", "cmd text")
     plan = build_relay_plan(task, robots, d, grid20)
-    text = plan_to_json(plan)
-    assert plan_from_json(text) == plan
-    assert plan_to_json(plan_from_json(text)) == text
+    assert 7 not in plan.active
+    text = plan_to_json(plan, robots, workspace20)
+    assert plan_from_json(text) == (plan, robots, workspace20)
+    assert plan_to_json(*plan_from_json(text)) == text
