@@ -1,7 +1,8 @@
 """Command-line driver tying parsing, planning, simulation, and rendering together.
 
-Exit codes: 0 success, 2 usage, command/zone or interpreter-reply failures,
-3 planning or geometry failures, 4 execution failures, 1 anything else (I/O).
+Exit codes: 0 success, 2 usage, malformed input files, command/zone or
+interpreter-reply failures, 3 planning or geometry failures, 4 execution
+failures, 1 anything else (I/O).
 stdout carries only data; diagnostics go to stderr (level: DELIVER_LOG).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -47,8 +49,28 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _load(path: str, decode):
+    """decode(path), where a file that does not decode is a usage error:
+    one `error:` line naming the file, then exit 2."""
+    try:
+        return decode(path)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: {path}: malformed file ({type(exc).__name__}: {exc})", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from exc
+
+
 def _load_robots(path: str) -> list[tuple[int, Point]]:
-    return geometry.robots_from_list(json.loads(_read(path)))
+    return _load(path, lambda p: geometry.robots_from_list(json.loads(_read(p))))
+
+
+def _load_plan(path: str) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace]:
+    return _load(path, lambda p: planning.plan_from_json(_read(p)))
+
+
+def _load_config(path: str | None) -> simulation.SimConfig:
+    if path is None:
+        return simulation.SimConfig()
+    return _load(path, lambda p: simulation.SimConfig.from_dict(json.loads(_read(p))))
 
 
 def _interpreter_config(args: argparse.Namespace) -> nlu.InterpreterConfig:
@@ -68,7 +90,7 @@ def _write_or_stdout(text: str, out: str | None) -> None:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    _, workspace = world.load_semantic_map(args.map)
+    _, workspace = _load(args.map, world.load_semantic_map)
     robots = _load_robots(args.robots)
     diagram = geometry.compute_voronoi(robots, workspace)
     _write_or_stdout(geometry.diagram_to_json(diagram), args.out)
@@ -81,7 +103,7 @@ def _plan_command(
     args: argparse.Namespace,
 ) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace]:
     """Interpret --command on --map and plan its relay chain for --robots."""
-    smap, workspace = world.load_semantic_map(args.map)
+    smap, workspace = _load(args.map, world.load_semantic_map)
     robots = _load_robots(args.robots)
     task = nlu.interpret(args.command, smap, _interpreter_config(args))
     nlu.validate_task(task, workspace)
@@ -100,14 +122,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    data = json.loads(_read(args.config)) if args.config else {}
-    if args.plan:
-        plan, robots, workspace = planning.plan_from_json(_read(args.plan))
-    else:
-        plan, robots, workspace = _plan_command(args)
-    # min_task_separation only constrains the tasks a batch generates
-    grid_size = {"grid_cols": workspace.grid_cols, "grid_rows": workspace.grid_rows}
-    config = simulation.SimConfig.from_dict({**data, **grid_size, "min_task_separation": 0.0})
+    config = _load_config(args.config)
+    plan, robots, workspace = _load_plan(args.plan) if args.plan else _plan_command(args)
     grid = world.OccupancyGrid(workspace=workspace)
     outcome = simulation.simulate(plan, robots, grid, config, task_id="cli-run")
     _write_or_stdout(outcome.record.to_json_line() + "\n", args.out)
@@ -123,13 +139,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise UnparsableCommand("batch mode requires an explicit --seed")
-    data = json.loads(_read(args.config)) if args.config else {}
-    data["seed"] = args.seed
+    flags = {"seed": args.seed}
     if args.team_sizes:
-        data["team_sizes"] = [int(n) for n in args.team_sizes.split(",")]
+        flags["team_sizes"] = tuple(int(n) for n in args.team_sizes.split(","))
     if args.trials:
-        data["trials_per_size"] = args.trials
-    config = simulation.SimConfig.from_dict(data)
+        flags["trials_per_size"] = args.trials
+    config = dataclasses.replace(_load_config(args.config), **flags)
     with contextlib.ExitStack() as stack:
         # open the outputs first, so a bad path fails before the batch runs
         csv_out, jsonl_out = (
@@ -148,10 +163,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     if args.plan:
-        plan, robots, workspace = planning.plan_from_json(_read(args.plan))
+        plan, robots, workspace = _load_plan(args.plan)
         svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
     else:
-        svg = render.render_partition_svg(geometry.diagram_from_json(_read(args.diagram)))
+        diagram = _load(args.diagram, lambda p: geometry.diagram_from_json(_read(p)))
+        svg = render.render_partition_svg(diagram)
     Path(args.svg).write_text(svg, encoding="utf-8")
     return EXIT_OK
 

@@ -9,10 +9,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IllegalTransition
-from .geometry import Point, dist
-
-# points closer than this count as the same waypoint
-WAYPOINT_TOL = 1e-9
+from .geometry import Point
 
 
 class RobotState(str, Enum):
@@ -21,13 +18,6 @@ class RobotState(str, Enum):
     PICKUP = "Pickup"
     RELAY = "Relay"
     DELIVER = "Deliver"
-
-
-class Role(str, Enum):
-    INITIATOR = "initiator"
-    INTERMEDIATE = "intermediate"
-    FINAL = "final"
-    BYSTANDER = "bystander"
 
 
 class MessageKind(str, Enum):
@@ -42,6 +32,13 @@ class LedStatus(str, Enum):
     OFF = "off"
 
 
+_MESSAGE_LED = {
+    MessageKind.HANDOFF_READY: LedStatus.BLUE,
+    MessageKind.HANDOFF_ACK: LedStatus.GREEN,
+    MessageKind.TASK_COMPLETE: LedStatus.OFF,
+}
+
+
 @dataclass(frozen=True)
 class HandoffMessage:
     kind: MessageKind
@@ -50,7 +47,11 @@ class HandoffMessage:
     to_id: int
     at: Point
     tick: int
-    status_led: LedStatus = LedStatus.OFF
+
+    @property
+    def status_led(self) -> LedStatus:
+        """The sender's LED as it sends: blue at a handoff, green once it holds the item."""
+        return _MESSAGE_LED[self.kind]
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +70,7 @@ class HandoffMessage:
 
 class EventKind(str, Enum):
     ASSIGN_SEGMENT = "AssignSegment"
-    ARRIVED_WAYPOINT = "ArrivedWaypoint"
+    ARRIVED_WAYPOINT = "ArrivedWaypoint"  # at the FSM's goal
     PICKUP_DONE = "PickupDone"
     MESSAGE_RECEIVED = "MessageReceived"
     DROP_DONE = "DropDone"
@@ -79,92 +80,90 @@ class EventKind(str, Enum):
 class FsmEvent:
     kind: EventKind
     tick: int
-    at: Point | None = None  # ArrivedWaypoint location
+    at: Point | None = None  # MessageReceived: where the receiver stands
     message: HandoffMessage | None = None  # MessageReceived payload
-    waypoints: tuple[Point, ...] = ()  # AssignSegment payload
 
 
 @dataclass(frozen=True)
 class RobotFsm:
+    """One robot's protocol state. Its relay leg starts at the pickup or its
+    incoming transfer point and ends at its outgoing transfer point or the
+    drop; a robot with neither start is a bystander."""
+
     robot_id: int
     state: RobotState = RobotState.IDLE
-    role: Role = Role.BYSTANDER
-    waypoints: tuple[Point, ...] = ()
     carrying: str | None = None
-    status_led: LedStatus = LedStatus.OFF
     task_id: str = ""
     item: str = ""
     pickup_at: Point | None = None
     drop_at: Point | None = None
     outgoing_transfer: Point | None = None
     incoming_transfer: Point | None = None
-    peer_prev: int | None = None  # robot handing the item to us
     peer_next: int | None = None  # robot we hand the item to
 
+    @property
+    def goal(self) -> Point | None:
+        """Where the robot drives to while in NAVIGATE; None in any other state."""
+        if self.state is not RobotState.NAVIGATE:
+            return None
+        if self.carrying is None:
+            return self.pickup_at if self.pickup_at is not None else self.incoming_transfer
+        return self.outgoing_transfer if self.outgoing_transfer is not None else self.drop_at
 
-def _same_point(a: Point | None, b: Point | None) -> bool:
-    return a is not None and b is not None and dist(a, b) <= WAYPOINT_TOL
+    @property
+    def status_led(self) -> LedStatus:
+        if self.state is RobotState.RELAY:
+            return LedStatus.BLUE
+        return LedStatus.GREEN if self.carrying is not None else LedStatus.OFF
 
 
 def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMessage]]:
     """Apply one event to the FSM; returns the successor and emitted messages.
 
     An event not covered by the transition table is a protocol bug and
-    raises IllegalTransition.
+    raises IllegalTransition. RELAY is the state on both sides of a handoff:
+    the sender waits there with the item for HandoffAck, the receiver
+    without it for HandoffReady.
     """
     k = event.kind
     s = fsm.state
+    carrying = fsm.carrying is not None
 
     if k == EventKind.ASSIGN_SEGMENT:
-        if s is not RobotState.IDLE or fsm.role is Role.BYSTANDER:
-            raise IllegalTransition(f"AssignSegment in state {s} role {fsm.role}")
-        return dataclasses.replace(
-            fsm, state=RobotState.NAVIGATE, waypoints=event.waypoints
-        ), []
+        if s is not RobotState.IDLE or (fsm.pickup_at is None and fsm.incoming_transfer is None):
+            raise IllegalTransition(f"AssignSegment in state {s} for robot {fsm.robot_id}")
+        return dataclasses.replace(fsm, state=RobotState.NAVIGATE), []
 
     if k == EventKind.ARRIVED_WAYPOINT:
         if s is not RobotState.NAVIGATE:
             raise IllegalTransition(f"ArrivedWaypoint in state {s}")
-        remaining = fsm.waypoints
-        if remaining and _same_point(remaining[0], event.at):
-            remaining = remaining[1:]
-        nxt = dataclasses.replace(fsm, waypoints=remaining)
-        if _same_point(event.at, fsm.pickup_at) and fsm.carrying is None:
-            return dataclasses.replace(nxt, state=RobotState.PICKUP), []
-        if _same_point(event.at, fsm.outgoing_transfer) and fsm.carrying is not None:
-            ready = HandoffMessage(
-                kind=MessageKind.HANDOFF_READY,
-                task_id=fsm.task_id,
-                from_id=fsm.robot_id,
-                to_id=fsm.peer_next if fsm.peer_next is not None else fsm.robot_id,
-                at=event.at,
-                tick=event.tick,
-                status_led=LedStatus.BLUE,
-            )
-            return dataclasses.replace(
-                nxt, state=RobotState.RELAY, status_led=LedStatus.BLUE
-            ), [ready]
-        if _same_point(event.at, fsm.drop_at) and fsm.carrying is not None:
-            return dataclasses.replace(nxt, state=RobotState.DELIVER), []
-        return nxt, []  # ordinary intermediate waypoint
+        if not carrying:  # at the pickup, or at the incoming transfer to wait
+            state = RobotState.PICKUP if fsm.pickup_at is not None else RobotState.RELAY
+            return dataclasses.replace(fsm, state=state), []
+        if fsm.outgoing_transfer is None:
+            return dataclasses.replace(fsm, state=RobotState.DELIVER), []
+        ready = HandoffMessage(
+            kind=MessageKind.HANDOFF_READY,
+            task_id=fsm.task_id,
+            from_id=fsm.robot_id,
+            to_id=fsm.peer_next,
+            at=fsm.outgoing_transfer,
+            tick=event.tick,
+        )
+        return dataclasses.replace(fsm, state=RobotState.RELAY), [ready]
 
     if k == EventKind.PICKUP_DONE:
         if s is not RobotState.PICKUP:
             raise IllegalTransition(f"PickupDone in state {s}")
-        return dataclasses.replace(
-            fsm, state=RobotState.NAVIGATE, carrying=fsm.item, status_led=LedStatus.GREEN
-        ), []
+        return dataclasses.replace(fsm, state=RobotState.NAVIGATE, carrying=fsm.item), []
 
     if k == EventKind.MESSAGE_RECEIVED:
         msg = event.message
         if msg is None:
             raise IllegalTransition("MessageReceived without a message")
-        if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_ACK:
-            return dataclasses.replace(
-                fsm, state=RobotState.IDLE, carrying=None, status_led=LedStatus.OFF
-            ), []
-        if s is RobotState.NAVIGATE and msg.kind is MessageKind.HANDOFF_READY:
-            # receiver side: must already be at its incoming transfer point
+        if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_ACK and carrying:
+            return dataclasses.replace(fsm, state=RobotState.IDLE, carrying=None), []
+        if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_READY and not carrying:
             ack = HandoffMessage(
                 kind=MessageKind.HANDOFF_ACK,
                 task_id=fsm.task_id,
@@ -172,12 +171,9 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
                 to_id=msg.from_id,
                 at=event.at if event.at is not None else msg.at,
                 tick=event.tick,
-                status_led=LedStatus.GREEN,
             )
-            return dataclasses.replace(
-                fsm, carrying=fsm.item, status_led=LedStatus.GREEN
-            ), [ack]
-        raise IllegalTransition(f"{msg.kind} in state {s}")
+            return dataclasses.replace(fsm, state=RobotState.NAVIGATE, carrying=fsm.item), [ack]
+        raise IllegalTransition(f"{msg.kind} in state {s} with carrying={fsm.carrying!r}")
 
     if k == EventKind.DROP_DONE:
         if s is not RobotState.DELIVER:
@@ -187,13 +183,10 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
             task_id=fsm.task_id,
             from_id=fsm.robot_id,
             to_id=fsm.robot_id,
-            at=fsm.drop_at if fsm.drop_at is not None else Point(0.0, 0.0),
+            at=fsm.drop_at,
             tick=event.tick,
-            status_led=LedStatus.OFF,
         )
-        return dataclasses.replace(
-            fsm, state=RobotState.IDLE, carrying=None, status_led=LedStatus.OFF
-        ), [done]
+        return dataclasses.replace(fsm, state=RobotState.IDLE, carrying=None), [done]
 
     raise IllegalTransition(f"unhandled event kind {k}")
 

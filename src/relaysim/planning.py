@@ -39,7 +39,7 @@ class RelayPlan:
     task: TaskSpec
     active: tuple[int, ...]
     transfers: tuple[Point, ...]
-    segments: tuple[tuple[Point, ...], ...]  # one waypoint list per active agent
+    segments: tuple[tuple[Point, ...], ...]  # (start, leg start, leg end) per active agent
     baseline: bool
     # True where a consecutive pair had no positive-length shared Voronoi edge
     # and the transfer fell back to the path's region-crossing midpoint
@@ -98,18 +98,16 @@ def endpoint_agents(task: TaskSpec, diagram: VoronoiDiagram) -> tuple[int, int]:
     return locate(task.pickup, diagram), locate(task.drop, diagram)
 
 
+def _route_owners(path: GridPath, diagram: VoronoiDiagram, grid: OccupancyGrid) -> list[int]:
+    """The Voronoi owner of each path-cell center, in path order."""
+    return [locate(center_of(cell, grid), diagram) for cell in path.cells]
+
+
 def select_active_agents(
     path: GridPath, diagram: VoronoiDiagram, grid: OccupancyGrid
 ) -> list[int]:
     """Owners of path-cell centers, ordered by first appearance on the path."""
-    active: list[int] = []
-    seen: set[int] = set()
-    for cell in path.cells:
-        owner = locate(center_of(cell, grid), diagram)
-        if owner not in seen:
-            seen.add(owner)
-            active.append(owner)
-    return active
+    return list(dict.fromkeys(_route_owners(path, diagram, grid)))
 
 
 def _crossing_midpoint(
@@ -134,8 +132,8 @@ def build_relay_plan(
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
     path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
-    active = select_active_agents(path, diagram, grid)
-    owners = [locate(center_of(c, grid), diagram) for c in path.cells]
+    owners = _route_owners(path, diagram, grid)
+    active = list(dict.fromkeys(owners))
 
     transfers: list[Point] = []
     fallback: list[bool] = []
@@ -152,23 +150,12 @@ def build_relay_plan(
             transfers.append(z)
             fallback.append(True)
 
-    segments: list[tuple[Point, ...]] = []
-    if len(active) == 1:
-        segments.append((pos[active[0]], task.pickup, task.drop))
-    else:
-        for j, rid in enumerate(active):
-            if j == 0:
-                segments.append((pos[rid], task.pickup, transfers[0]))
-            elif j == len(active) - 1:
-                segments.append((pos[rid], transfers[j - 1], task.drop))
-            else:
-                segments.append((pos[rid], transfers[j - 1], transfers[j]))
-
+    legs = (task.pickup, *transfers, task.drop)
     return RelayPlan(
         task=task,
         active=tuple(active),
         transfers=tuple(transfers),
-        segments=tuple(segments),
+        segments=tuple((pos[rid], legs[j], legs[j + 1]) for j, rid in enumerate(active)),
         baseline=False,
         transfer_fallback=tuple(fallback),
     )

@@ -12,15 +12,17 @@ _SEGMENT_COLORS = ("#1f77b4", "#9467bd", "#8c564b", "#17becf", "#bcbd22", "#7f7f
 
 
 class _Svg:
-    def __init__(self, width: float, height: float, y_max: float):
+    def __init__(self, width: float, height: float, x_min: float, y_max: float):
         self.parts: list[str] = []
         self.width = width
         self.height = height
+        self.x_min = x_min
         self.y_max = y_max
 
     def tx(self, p: Point) -> tuple[float, float]:
-        # flip y so the workspace origin sits bottom-left
-        return (_MARGIN + p.x * _SCALE, _MARGIN + (self.y_max - p.y) * _SCALE)
+        # flip y so the workspace's minimum corner sits bottom-left
+        x = _MARGIN + (p.x - self.x_min) * _SCALE
+        return (x, _MARGIN + (self.y_max - p.y) * _SCALE)
 
     def polygon(self, pts: list[Point], stroke: str, fill: str = "none", width: float = 1.5) -> None:
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (self.tx(p) for p in pts))
@@ -61,6 +63,7 @@ def _new_canvas(diagram: VoronoiDiagram) -> _Svg:
     return _Svg(
         width=ws.width * _SCALE + 2 * _MARGIN,
         height=ws.height * _SCALE + 2 * _MARGIN,
+        x_min=ws.min_corner.x,
         y_max=ws.max_corner.y,
     )
 

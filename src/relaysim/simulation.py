@@ -21,7 +21,6 @@ from .coordination import (
     MessageKind,
     RobotFsm,
     RobotState,
-    Role,
     fsm_step,
 )
 from .errors import BlockedEndpoint, NoCompletedTrials, NoPath, PlacementExhausted
@@ -45,7 +44,7 @@ class SimConfig:
     min_task_separation: float = 8.0
     seed: int = 0
     message_delay: int = 0
-    tick_budget: int | None = None  # defaults to 10 * grid area
+    tick_budget: int | None = None  # defaults to 10 * the simulated grid's area
 
     def __post_init__(self) -> None:
         diam = math.hypot(self.grid_cols, self.grid_rows)
@@ -53,12 +52,6 @@ class SimConfig:
             raise ValueError("min_task_separation must be below the grid diameter")
         if self.trials_per_size < 1:
             raise ValueError("trials_per_size must be >= 1")
-
-    @property
-    def budget(self) -> int:
-        if self.tick_budget is not None:
-            return self.tick_budget
-        return 10 * self.grid_cols * self.grid_rows
 
     def workspace(self) -> Workspace:
         return Workspace(
@@ -190,8 +183,8 @@ def generate_trial(
 
 @dataclass
 class _Robot:
-    """Physical state of one robot, plus a projection of its FSM that
-    simulate refreshes after every fsm_step; the FSM owns the leg state."""
+    """Physical state of one robot. Its FSM owns the leg; simulate caches
+    the cell of the FSM's goal after every fsm_step."""
 
     rid: int
     cell: GridCell
@@ -201,10 +194,8 @@ class _Robot:
     route: list[GridCell] = field(default_factory=list)
     blocked_ticks: int = 0
     moves: int = 0
-    goal: Point | None = None  # fsm.waypoints[0] while navigating
     goal_cell: GridCell | None = None
     exact: bool = False  # the goal is the pickup or drop cell, not a transfer
-    waiting: bool = False  # at the incoming transfer, waiting for the item
 
 
 def _chebyshev(a: GridCell, b: GridCell) -> int:
@@ -219,7 +210,6 @@ def _build_robots(
 ) -> dict[int, _Robot]:
     task = plan.task
     active = plan.active
-    k = len(active)
     critical = frozenset((cell_of(task.pickup, grid), cell_of(task.drop, grid)))
 
     robots: dict[int, _Robot] = {}
@@ -230,21 +220,15 @@ def _build_robots(
 
     for j, rid in enumerate(active):
         first = j == 0
-        last = j == k - 1
-        if k == 1:
-            role = Role.INITIATOR
-        else:
-            role = Role.INITIATOR if first else Role.FINAL if last else Role.INTERMEDIATE
+        last = j == len(active) - 1
         robots[rid].fsm = RobotFsm(
             robot_id=rid,
-            role=role,
             task_id=task_id,
             item=task.item,
             pickup_at=task.pickup if first else None,
             drop_at=task.drop if last else None,
             incoming_transfer=plan.transfers[j - 1] if not first else None,
             outgoing_transfer=plan.transfers[j] if not last else None,
-            peer_prev=active[j - 1] if not first else None,
             peer_next=active[j + 1] if not last else None,
         )
     return robots
@@ -306,18 +290,26 @@ def simulate(
     task_id: str = "task",
     record_trace: bool = False,
 ) -> TrialOutcome:
-    """Run one relay plan to completion (or budget exhaustion)."""
+    """Run one relay plan to completion, or until the tick budget runs out
+    (config.tick_budget, else 10 * the grid's area)."""
     bus = MessageBus(delay=config.message_delay)
     robots = _build_robots(plan, placements, grid, task_id)
     order = sorted(robots)
     occupied: dict[GridCell, int] = {robots[r].cell: r for r in order}
     if len(occupied) != len(robots):
         raise ValueError("robots must start on distinct cells")
-    cells = {p: cell_of(p, grid) for seg in plan.segments for p in seg[1:]}
+    task = plan.task
+    cells = {p: cell_of(p, grid) for p in (task.pickup, *plan.transfers, task.drop)}
+    budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     completed = False
     done_tick = 0
     trace: list[TickTrace] | None = [] if record_trace else None
+
+    def snapshot(tick: int) -> None:
+        if trace is not None:
+            carriers = tuple(r for r in order if robots[r].fsm.carrying is not None)
+            trace.append(TickTrace(tick, carriers, {r: robots[r].cell for r in order}))
 
     def step(rb: _Robot, event: FsmEvent) -> None:
         nonlocal completed
@@ -329,23 +321,16 @@ def simulate(
             else:
                 bus.send(m)
         fsm = rb.fsm
-        navigating = fsm.state is RobotState.NAVIGATE and bool(fsm.waypoints)
-        rb.goal = fsm.waypoints[0] if navigating else None
-        if rb.goal is not None:
-            carrying = fsm.carrying is not None
-            rb.goal_cell = cells[rb.goal]
-            rb.exact = rb.goal == (fsm.drop_at if carrying else fsm.pickup_at)
-            rb.waiting = (
-                not carrying
-                and fsm.incoming_transfer is not None
-                and len(fsm.waypoints) == 1
-            )
+        goal = fsm.goal
+        if goal is not None:
+            rb.goal_cell = cells[goal]
+            rb.exact = goal == (fsm.drop_at if fsm.carrying is not None else fsm.pickup_at)
 
     def process_arrivals(rb: _Robot, tick: int) -> None:
         # a single tick can chain arrivals when consecutive goals share a cell
-        while rb.goal is not None and not rb.waiting and _at_goal(rb):
+        while rb.fsm.state is RobotState.NAVIGATE and _at_goal(rb):
             rb.route = []
-            step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick, at=rb.goal))
+            step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick))
             if rb.fsm.state is RobotState.PICKUP:
                 step(rb, FsmEvent(EventKind.PICKUP_DONE, tick=tick))
             elif rb.fsm.state is RobotState.DELIVER:
@@ -357,13 +342,8 @@ def simulate(
             progress = False
             for rid in order:
                 rb = robots[rid]
-                if (
-                    rb.goal is not None
-                    and not rb.waiting
-                    and rb.fsm.carrying is None
-                    and rb.fsm.incoming_transfer is not None
-                ):
-                    continue  # still driving to its incoming transfer: HandoffReady waits
+                if rb.fsm.state is not RobotState.RELAY:
+                    continue  # messages wait in the bus until the robot is at its transfer
                 for msg in bus.poll(rid, tick):
                     here = center_of(rb.cell, grid)
                     step(
@@ -374,29 +354,19 @@ def simulate(
                     progress = True
 
     # tick 0: assign segments, then settle arrivals already satisfied
-    for rid in order:
-        rb = robots[rid]
-        if rb.fsm.role is not Role.BYSTANDER:
-            seg = plan.segments[plan.active.index(rid)]
-            step(rb, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0, waypoints=tuple(seg[1:])))
-            process_arrivals(rb, 0)
+    for rid in sorted(plan.active):
+        step(robots[rid], FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
+        process_arrivals(robots[rid], 0)
     deliver_messages(0)
-    if trace is not None:
-        trace.append(
-            TickTrace(
-                tick=0,
-                carriers=tuple(r for r in order if robots[r].fsm.carrying is not None),
-                positions={r: robots[r].cell for r in order},
-            )
-        )
+    snapshot(0)
 
     tick = 0
-    while not completed and tick < config.budget:
+    while not completed and tick < budget:
         tick += 1
         # movement phase: lower ids move first; occupied next cells mean waiting
         for rid in order:
             rb = robots[rid]
-            if rb.goal is None or rb.waiting or _at_goal(rb):
+            if rb.fsm.state is not RobotState.NAVIGATE or _at_goal(rb):
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid)
@@ -423,16 +393,7 @@ def simulate(
             process_arrivals(robots[rid], tick)
         # message cascade (delay 0 resolves a full handoff within the tick)
         deliver_messages(tick)
-        if trace is not None:
-            trace.append(
-                TickTrace(
-                    tick=tick,
-                    carriers=tuple(
-                        r for r in order if robots[r].fsm.carrying is not None
-                    ),
-                    positions={r: robots[r].cell for r in order},
-                )
-            )
+        snapshot(tick)
         if completed:
             done_tick = tick
 
@@ -441,7 +402,7 @@ def simulate(
         trial_id=task_id,
         team_size=len(placements),
         seed="",
-        task=plan.task,
+        task=task,
         active_count=len(plan.active),
         per_agent_moves=per_agent,
         total_moves=sum(per_agent.values()),
@@ -479,9 +440,7 @@ def trial_seed(master_seed: int, team_size: int, trial_index: int) -> str:
     return f"{master_seed}/{team_size}/{trial_index}"
 
 
-def run_batch(
-    config: SimConfig, record_trace: bool = False
-) -> tuple[BatchSummary, list[TrialRecord], list[TrialOutcome]]:
+def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[TrialOutcome]]:
     records: list[TrialRecord] = []
     outcomes: list[TrialOutcome] = []
     for size in config.team_sizes:
@@ -490,9 +449,7 @@ def run_batch(
             rng = random.Random(seed_key)
             placements, task = generate_trial(size, config, rng)
             tid = f"trial-{size}-{i}"
-            outcome = run_trial(
-                placements, task, config, task_id=tid, record_trace=record_trace
-            )
+            outcome = run_trial(placements, task, config, task_id=tid)
             base = run_trial(
                 placements, task, config, baseline=True, task_id=tid + "-baseline"
             )

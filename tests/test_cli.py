@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import socket
 
 import pytest
@@ -186,6 +187,69 @@ class TestRunOnAnyMap:
             for v, lo, w in zip(at, ws["min"], cell):
                 k = (v - lo) / w - 0.5
                 assert math.isclose(k, round(k), abs_tol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_plan_svg_stays_on_the_canvas(self, name, tmp_path):
+        ws, zones, team = MAPS[name]
+        map_path, robots_path = tmp_path / "map.json", tmp_path / "robots.json"
+        map_path.write_text(json.dumps({"workspace": ws, "zones": zones}), encoding="utf-8")
+        robots_path.write_text(json.dumps(team), encoding="utf-8")
+        svg_path = tmp_path / "plan.svg"
+        assert main(["plan", "--command", COMMAND, "--map", str(map_path),
+                     "--robots", str(robots_path), "--svg", str(svg_path)]) == EXIT_OK
+        svg = svg_path.read_text(encoding="utf-8")
+        width, height = (float(re.search(f'<svg [^>]*{k}="([^"]+)"', svg)[1])
+                         for k in ("width", "height"))
+        xs = [float(v) for v in re.findall(r' (?:cx|x1|x2|x)="([^"]+)"', svg)]
+        ys = [float(v) for v in re.findall(r' (?:cy|y1|y2|y)="([^"]+)"', svg)]
+        for points in re.findall(r' points="([^"]+)"', svg):
+            for pair in points.split():
+                x, y = pair.split(",")
+                xs.append(float(x))
+                ys.append(float(y))
+        assert xs and ys
+        assert all(0 <= x <= width for x in xs)
+        assert all(0 <= y <= height for y in ys)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv,content",
+        [
+            (["run", "--plan", "{bad}"], "plan without robots"),
+            (["plan", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
+             [[0, 1.5]]),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
+              "--config", "{bad}"], {"tick_limit": 5}),
+            (["batch", "--seed", "1", "--config", "{bad}"], {"tick_limit": 5}),
+            (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
+            (["render", "--diagram", "{bad}", "--svg", "{svg}"],
+             {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
+        ],
+        ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
+             "unknown-batch-config-key", "map-not-json", "diagram-without-cells"],
+    )
+    def test_one_error_line_naming_the_file_and_exit_2(
+        self, argv, content, map_file, robots_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        if content == "plan without robots":
+            main(["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
+                  "--out", str(bad)])
+            data = json.loads(bad.read_text(encoding="utf-8"))
+            del data["robots"]
+            content = data
+        text = content if isinstance(content, str) else json.dumps(content)
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        paths = {"bad": str(bad), "map": map_file, "robots": robots_file,
+                 "svg": str(tmp_path / "out.svg")}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: ")
 
 
 class TestUsage:

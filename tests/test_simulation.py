@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -5,13 +7,15 @@ import pytest
 
 from relaysim.coordination import MessageKind
 from relaysim.errors import NoCompletedTrials
-from relaysim.geometry import Point, dist
+from relaysim.geometry import Point, Workspace, compute_voronoi, dist
 from relaysim.nlu import TaskSpec
+from relaysim.planning import build_relay_plan
 from relaysim.simulation import (
     SimConfig,
     generate_trial,
     run_batch,
     run_trial,
+    simulate,
     summarize,
     summary_to_csv,
     trial_seed,
@@ -150,6 +154,37 @@ class TestSingleTrials:
         assert not out.record.completed
         assert out.record.ticks == 2
 
+    def test_default_budget_is_ten_times_the_grid_area(self):
+        # the only robot is walled into a corner of a 6x4 grid, so it never
+        # reaches the pickup; the budget comes from that grid, not SimConfig's
+        workspace = Workspace(Point(0.0, 0.0), Point(6.0, 4.0), 6, 4)
+        walls = frozenset({GridCell(1, 0), GridCell(0, 1), GridCell(1, 1)})
+        grid = OccupancyGrid(workspace=workspace, blocked=walls)
+        placements = [(0, center_of(GridCell(0, 0), grid))]
+        task = TaskSpec(
+            pickup=center_of(GridCell(3, 2), grid),
+            drop=center_of(GridCell(5, 3), grid),
+            item="box",
+            source_text="t",
+        )
+        plan = build_relay_plan(task, placements, compute_voronoi(placements, workspace), grid)
+        out = simulate(plan, placements, grid, SimConfig())
+        assert not out.record.completed
+        assert out.record.ticks == 10 * 6 * 4
+
+    @pytest.mark.parametrize("message_delay", [0, 2])
+    def test_logged_message_leds_follow_kind(self, message_delay):
+        leds = {"HandoffReady": "blue", "HandoffAck": "green", "TaskComplete": "off"}
+        cfg = replace(SMALL, message_delay=message_delay)
+        kinds = set()
+        for i in range(10):
+            placements, task = generate_trial(10, cfg, random.Random(f"led/{i}"))
+            for msg in run_trial(placements, task, cfg).messages:
+                data = msg.to_dict()
+                assert data["status_led"] == leds[data["kind"]]
+                kinds.add(data["kind"])
+        assert kinds == set(leds)
+
 
 class TestRunBatch:
     def test_deterministic_repeat(self):
@@ -195,6 +230,27 @@ class TestRunBatch:
             ratio = summary.per_size[10].mean_active / summary.per_size[3].mean_active
             assert ratio < 10 / 3
 
+    def test_delay2_message_logs_and_traces_digest(self):
+        """Every message log and tick trace of a small delay-2 batch, relay and
+        baseline, byte for byte."""
+        cfg = SimConfig(team_sizes=(3, 10), trials_per_size=10, seed=12345, message_delay=2)
+        h = hashlib.sha256()
+        for size in cfg.team_sizes:
+            for i in range(cfg.trials_per_size):
+                rng = random.Random(trial_seed(cfg.seed, size, i))
+                placements, task = generate_trial(size, cfg, rng)
+                for baseline in (False, True):
+                    out = run_trial(placements, task, cfg, baseline=baseline, record_trace=True)
+                    for msg in out.messages:
+                        h.update(msg.to_json_line().encode() + b"\n")
+                    for snap in out.trace:
+                        cells = [[r, c.col, c.row] for r, c in sorted(snap.positions.items())]
+                        line = json.dumps([snap.tick, list(snap.carriers), cells])
+                        h.update(line.encode() + b"\n")
+        assert h.hexdigest() == (
+            "8379aa01b845cbc76f3bb6b57a3452be881e40abe39d9ef4c86588e042d08396"
+        )
+
     def test_summarize_rejects_all_failed(self):
         _, records, _ = run_batch(SimConfig(team_sizes=(1,), trials_per_size=2, seed=7))
         for r in records:
@@ -222,8 +278,6 @@ def test_config_validation():
         SimConfig(min_task_separation=100.0)
     with pytest.raises(ValueError):
         SimConfig(trials_per_size=0)
-    assert SimConfig().budget == 4000
-    assert SimConfig(tick_budget=50).budget == 50
 
 
 def test_config_from_dict_round_trip():
