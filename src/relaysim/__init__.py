@@ -8,7 +8,6 @@ from .geometry import (
     Workspace,
     compute_voronoi,
     locate,
-    project_clamp,
     relay_point,
     shared_edge,
 )
@@ -18,11 +17,10 @@ from .planning import (
     RelayPlan,
     astar,
     build_relay_plan,
-    endpoint_agents,
     select_active_agents,
     single_agent_baseline,
 )
-from .simulation import BatchSummary, SimConfig, TrialRecord, generate_trial, run_batch, run_trial, summarize
+from .simulation import BatchSummary, RunConfig, SimConfig, TrialRecord, generate_trial, run_batch, run_trial, summarize
 from .world import GridCell, OccupancyGrid, SemanticMap, cell_of, center_of, resolve_zone
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "Workspace",
     "compute_voronoi",
     "locate",
-    "project_clamp",
     "relay_point",
     "shared_edge",
     "InterpreterConfig",
@@ -45,10 +42,10 @@ __all__ = [
     "RelayPlan",
     "astar",
     "build_relay_plan",
-    "endpoint_agents",
     "select_active_agents",
     "single_agent_baseline",
     "BatchSummary",
+    "RunConfig",
     "SimConfig",
     "TrialRecord",
     "generate_trial",

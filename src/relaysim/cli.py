@@ -67,10 +67,22 @@ def _load_plan(path: str) -> tuple[planning.RelayPlan, list[tuple[int, Point]], 
     return _load(path, lambda p: planning.plan_from_json(_read(p)))
 
 
-def _load_config(path: str | None) -> simulation.SimConfig:
+def _load_config(path: str | None, config_type: type[simulation.RunConfig]) -> simulation.RunConfig:
     if path is None:
-        return simulation.SimConfig()
-    return _load(path, lambda p: simulation.SimConfig.from_dict(json.loads(_read(p))))
+        return config_type()
+    return _load(path, lambda p: config_type.from_dict(json.loads(_read(p))))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _team_sizes(text: str) -> tuple[int, ...]:
+    """argparse type: a comma-separated list of positive integers."""
+    return tuple(_positive_int(n) for n in text.split(","))
 
 
 def _interpreter_config(args: argparse.Namespace) -> nlu.InterpreterConfig:
@@ -122,7 +134,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, simulation.RunConfig)
     plan, robots, workspace = _load_plan(args.plan) if args.plan else _plan_command(args)
     grid = world.OccupancyGrid(workspace=workspace)
     outcome = simulation.simulate(plan, robots, grid, config, task_id="cli-run")
@@ -140,11 +152,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise UnparsableCommand("batch mode requires an explicit --seed")
     flags = {"seed": args.seed}
-    if args.team_sizes:
-        flags["team_sizes"] = tuple(int(n) for n in args.team_sizes.split(","))
-    if args.trials:
+    if args.team_sizes is not None:
+        flags["team_sizes"] = args.team_sizes
+    if args.trials is not None:
         flags["trials_per_size"] = args.trials
-    config = dataclasses.replace(_load_config(args.config), **flags)
+    config = dataclasses.replace(_load_config(args.config, simulation.SimConfig), **flags)
     with contextlib.ExitStack() as stack:
         # open the outputs first, so a bad path fails before the batch runs
         csv_out, jsonl_out = (
@@ -205,17 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--command", default=None, help="needs --map and --robots")
     p.add_argument("--map", default=None)
     p.add_argument("--robots", default=None)
-    p.add_argument("--config", default=None, help="SimConfig JSON: tick_budget, message_delay")
+    p.add_argument("--config", default=None, help="RunConfig JSON: message_delay, tick_budget")
     p.add_argument("--out", default=None, help="trial record JSONL (default stdout)")
     p.add_argument("--messages", default=None, help="handoff message log JSONL")
     _add_interpreter_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("batch", help="run the scalability experiment batch")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help="SimConfig JSON: batch and RunConfig fields")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--team-sizes", dest="team_sizes", default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--team-sizes", dest="team_sizes", type=_team_sizes, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
     p.add_argument("--out", default=None, help="trial records JSONL")
     p.set_defaults(func=cmd_batch)

@@ -253,18 +253,6 @@ def shared_edge(diagram: VoronoiDiagram, i: int, j: int) -> SharedEdge | None:
     return SharedEdge(site_a=i, site_b=j, p1=p1, p2=p2)
 
 
-def project_clamp(point: Point, p1: Point, p2: Point) -> Point:
-    """Orthogonal projection of point onto segment p1-p2, clamped to the segment."""
-    ex = p2.x - p1.x
-    ey = p2.y - p1.y
-    len2 = ex * ex + ey * ey
-    if len2 == 0.0:
-        raise DegenerateEdge("segment endpoints coincide")
-    t = ((point.x - p1.x) * ex + (point.y - p1.y) * ey) / len2
-    t = min(1.0, max(0.0, t))
-    return Point(p1.x + t * ex, p1.y + t * ey)
-
-
 def relay_point(x_i: Point, x_j: Point, edge: SharedEdge) -> tuple[Point, float]:
     """Minimax transfer point on a segment for two agent positions.
 

@@ -36,14 +36,19 @@ class GridPath:
 
 @dataclass(frozen=True)
 class RelayPlan:
+    """The relay chain: active[j] carries the item from legs[j] to legs[j + 1]."""
+
     task: TaskSpec
     active: tuple[int, ...]
     transfers: tuple[Point, ...]
-    segments: tuple[tuple[Point, ...], ...]  # (start, leg start, leg end) per active agent
     baseline: bool
     # True where a consecutive pair had no positive-length shared Voronoi edge
     # and the transfer fell back to the path's region-crossing midpoint
     transfer_fallback: tuple[bool, ...] = ()
+
+    @property
+    def legs(self) -> tuple[Point, ...]:
+        return (self.task.pickup, *self.transfers, self.task.drop)
 
 
 def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
@@ -92,10 +97,6 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
                 hn = h(nb)
                 heapq.heappush(open_heap, (ng + hn, hn, idx(nb), nb))
     raise NoPath(f"no path from {start} to {goal}")
-
-
-def endpoint_agents(task: TaskSpec, diagram: VoronoiDiagram) -> tuple[int, int]:
-    return locate(task.pickup, diagram), locate(task.drop, diagram)
 
 
 def _route_owners(path: GridPath, diagram: VoronoiDiagram, grid: OccupancyGrid) -> list[int]:
@@ -150,12 +151,10 @@ def build_relay_plan(
             transfers.append(z)
             fallback.append(True)
 
-    legs = (task.pickup, *transfers, task.drop)
     return RelayPlan(
         task=task,
         active=tuple(active),
         transfers=tuple(transfers),
-        segments=tuple((pos[rid], legs[j], legs[j + 1]) for j, rid in enumerate(active)),
         baseline=False,
         transfer_fallback=tuple(fallback),
     )
@@ -179,7 +178,6 @@ def single_agent_baseline(
         task=task,
         active=(rid,),
         transfers=(),
-        segments=((pos[rid], task.pickup, task.drop),),
         baseline=True,
         transfer_fallback=(),
     )
@@ -195,7 +193,6 @@ def plan_to_json(plan: RelayPlan, robots: list[tuple[int, Point]], workspace: Wo
         "task": task_to_dict(plan.task),
         "active": list(plan.active),
         "transfers": [[z.x, z.y] for z in plan.transfers],
-        "segments": [[[p.x, p.y] for p in seg] for seg in plan.segments],
         "baseline": plan.baseline,
         "transfer_fallback": list(plan.transfer_fallback),
         "robots": robots_to_list(robots),
@@ -210,7 +207,6 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
         task=task_from_dict(data["task"]),
         active=tuple(int(r) for r in data["active"]),
         transfers=tuple(point_from_list(z) for z in data["transfers"]),
-        segments=tuple(tuple(point_from_list(p) for p in seg) for seg in data["segments"]),
         baseline=bool(data["baseline"]),
         transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
     )

@@ -91,10 +91,12 @@ def render_partition_svg(diagram: VoronoiDiagram) -> str:
 def render_plan_svg(plan: RelayPlan, diagram: VoronoiDiagram) -> str:
     svg = _new_canvas(diagram)
     _draw_partition(svg, diagram)
-    for i, seg in enumerate(plan.segments):
-        color = _SEGMENT_COLORS[i % len(_SEGMENT_COLORS)]
-        for a, b in zip(seg, seg[1:]):
-            svg.line(a, b, color, width=2.0, dash="6,3")
+    for j, rid in enumerate(plan.active):
+        # the robot's approach from its site, then the leg it carries
+        color = _SEGMENT_COLORS[j % len(_SEGMENT_COLORS)]
+        leg_start, leg_end = plan.legs[j : j + 2]
+        svg.line(diagram.cell(rid).site, leg_start, color, width=2.0, dash="6,3")
+        svg.line(leg_start, leg_end, color, width=2.0, dash="6,3")
     svg.circle(plan.task.pickup, 6, "#2ca02c")
     svg.text(plan.task.pickup, "pickup")
     svg.circle(plan.task.drop, 6, "#d62728")

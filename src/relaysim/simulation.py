@@ -36,22 +36,38 @@ _NEIGHBOR_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1),
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class RunConfig:
+    """How `simulate` executes a plan."""
+
+    message_delay: int = 0
+    tick_budget: int | None = None  # defaults to 10 * the simulated grid's area
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        return cls(**data)
+
+
+@dataclass(frozen=True)
+class SimConfig(RunConfig):
+    """A randomized batch: the trials to generate, and how each one runs."""
+
     grid_cols: int = 20
     grid_rows: int = 20
     team_sizes: tuple[int, ...] = (1, 3, 5, 7, 10)
     trials_per_size: int = 100
     min_task_separation: float = 8.0
     seed: int = 0
-    message_delay: int = 0
-    tick_budget: int | None = None  # defaults to 10 * the simulated grid's area
 
     def __post_init__(self) -> None:
+        # team sizes decoded from a JSON list are stored as a tuple of ints
+        object.__setattr__(self, "team_sizes", tuple(int(n) for n in self.team_sizes))
         diam = math.hypot(self.grid_cols, self.grid_rows)
         if self.min_task_separation >= diam:
             raise ValueError("min_task_separation must be below the grid diameter")
         if self.trials_per_size < 1:
             raise ValueError("trials_per_size must be >= 1")
+        if not self.team_sizes or min(self.team_sizes) < 1:
+            raise ValueError("team_sizes must be a non-empty list of sizes >= 1")
 
     def workspace(self) -> Workspace:
         return Workspace(
@@ -60,13 +76,6 @@ class SimConfig:
             grid_cols=self.grid_cols,
             grid_rows=self.grid_rows,
         )
-
-    @staticmethod
-    def from_dict(data: dict) -> "SimConfig":
-        kwargs = dict(data)
-        if "team_sizes" in kwargs:
-            kwargs["team_sizes"] = tuple(int(n) for n in kwargs["team_sizes"])
-        return SimConfig(**kwargs)
 
 
 @dataclass
@@ -286,7 +295,7 @@ def simulate(
     plan: RelayPlan,
     placements: list[tuple[int, Point]],
     grid: OccupancyGrid,
-    config: SimConfig,
+    config: RunConfig,
     task_id: str = "task",
     record_trace: bool = False,
 ) -> TrialOutcome:
@@ -298,8 +307,7 @@ def simulate(
     occupied: dict[GridCell, int] = {robots[r].cell: r for r in order}
     if len(occupied) != len(robots):
         raise ValueError("robots must start on distinct cells")
-    task = plan.task
-    cells = {p: cell_of(p, grid) for p in (task.pickup, *plan.transfers, task.drop)}
+    cells = {p: cell_of(p, grid) for p in plan.legs}
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     completed = False
@@ -402,7 +410,7 @@ def simulate(
         trial_id=task_id,
         team_size=len(placements),
         seed="",
-        task=task,
+        task=plan.task,
         active_count=len(plan.active),
         per_agent_moves=per_agent,
         total_moves=sum(per_agent.values()),

@@ -131,10 +131,6 @@ def dump_semantic_map(smap: SemanticMap, workspace: Workspace) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def save_semantic_map(smap: SemanticMap, workspace: Workspace, path: str | Path) -> None:
-    Path(path).write_text(dump_semantic_map(smap, workspace), encoding="utf-8")
-
-
 def load_occupancy(path: str | Path, workspace: Workspace) -> OccupancyGrid:
     """Optional occupancy file: JSON list of [col, row] blocked cells."""
     cells = json.loads(Path(path).read_text(encoding="utf-8"))

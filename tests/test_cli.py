@@ -8,8 +8,11 @@ import pytest
 
 from relaysim import simulation
 from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, main
-from relaysim.planning import plan_from_json
-from relaysim.world import dump_semantic_map
+from relaysim.geometry import Point, Workspace, compute_voronoi
+from relaysim.nlu import TaskSpec
+from relaysim.planning import build_relay_plan, plan_from_json
+from relaysim.render import render_plan_svg
+from relaysim.world import OccupancyGrid, dump_semantic_map
 from test_nlu import _Handler, mock_endpoint  # noqa: F401  (fixture)
 
 COMMAND = "bring the cup from the kitchen to the bedroom"
@@ -55,9 +58,11 @@ class TestPlan:
         )
         assert code == EXIT_OK
         data = json.loads(out.read_text(encoding="utf-8"))
-        assert set(data) >= {"task", "active", "transfers", "segments", "robots", "workspace"}
-        plan, _, _ = plan_from_json(out.read_text(encoding="utf-8"))
+        assert set(data) >= {"task", "active", "transfers", "robots", "workspace"}
+        assert "segments" not in data
+        plan, robots, _ = plan_from_json(out.read_text(encoding="utf-8"))
         assert len(plan.transfers) == len(plan.active) - 1
+        assert set(plan.active) <= {rid for rid, _ in robots}
 
     def test_unknown_zone_exit_code(self, map_file, robots_file, capsys):
         code = main(
@@ -222,16 +227,24 @@ class TestMalformedInput:
             (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
               "--config", "{bad}"], {"tick_limit": 5}),
             (["batch", "--seed", "1", "--config", "{bad}"], {"tick_limit": 5}),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
+              "--config", "{bad}"], {"team_sizes": [3]}),
+            (["batch", "--seed", "1", "--config", "{bad}"], {"team_sizes": [0]}),
             (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"],
              {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
-             "unknown-batch-config-key", "map-not-json", "diagram-without-cells"],
+             "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
+             "map-not-json", "diagram-without-cells"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
-        self, argv, content, map_file, robots_file, tmp_path, capsys
+        self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
     ):
+        def run_batch(*args, **kwargs):
+            pytest.fail("run_batch ran although its config file is malformed")
+
+        monkeypatch.setattr(simulation, "run_batch", run_batch)
         bad = tmp_path / "bad.json"
         if content == "plan without robots":
             main(["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
@@ -263,9 +276,17 @@ class TestUsage:
             ["run", "--plan", "plan.json", "--command", COMMAND],
             ["render", "--svg", "out.svg"],
             ["render", "--diagram", "d.json", "--plan", "plan.json", "--svg", "out.svg"],
+            ["batch", "--seed", "1", "--team-sizes", "1", "--trials", "0"],
+            ["batch", "--seed", "1", "--team-sizes", ""],
+            ["batch", "--seed", "1", "--team-sizes", "0"],
+            ["batch", "--seed", "1", "--team-sizes", "1,x"],
         ],
     )
-    def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys):
+    def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys, monkeypatch):
+        def run_batch(*args, **kwargs):
+            pytest.fail("run_batch ran although its flags are invalid")
+
+        monkeypatch.setattr(simulation, "run_batch", run_batch)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -359,3 +380,51 @@ class TestRender:
         )
         assert code == EXIT_OK
         assert "<svg" in svg.read_text(encoding="utf-8")
+
+    def test_plan_file_with_segments_runs_and_renders_the_same(
+        self, map_file, robots_file, tmp_path
+    ):
+        """Plan files written before `segments` was dropped still load; the key
+        is ignored, even when it disagrees with the chain."""
+        plan_path, legacy_path = tmp_path / "plan.json", tmp_path / "legacy.json"
+        assert main(
+            ["plan", "--command", "bring the glass of water from the kitchen to the bedroom",
+             "--map", map_file, "--robots", robots_file, "--out", str(plan_path)]
+        ) == EXIT_OK
+        data = json.loads(plan_path.read_text(encoding="utf-8"))
+        data["segments"] = [[[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]]]
+        legacy_path.write_text(json.dumps(data), encoding="utf-8")
+        outputs = []
+        for path in (plan_path, legacy_path):
+            rec, msgs, svg = (tmp_path / f"{path.stem}.{ext}" for ext in ("jsonl", "msgs", "svg"))
+            assert main(["run", "--plan", str(path), "--out", str(rec),
+                         "--messages", str(msgs)]) == EXIT_OK
+            assert main(["render", "--plan", str(path), "--svg", str(svg)]) == EXIT_OK
+            outputs.append([f.read_bytes() for f in (rec, msgs, svg)])
+        assert outputs[0] == outputs[1]
+
+    def test_plan_svg_draws_each_robots_approach_and_leg(self):
+        ws = Workspace(Point(-2, 0), Point(18, 20), 20, 20)
+        robots = [(4, Point(14.5, 10.5)), (2, Point(0.5, 10.5)), (7, Point(7.5, 10.5))]
+        task = TaskSpec(Point(-1.5, 10.5), Point(16.5, 10.5), "box", "cmd")
+        diagram = compute_voronoi(robots, ws)
+        plan = build_relay_plan(task, robots, diagram, OccupancyGrid(workspace=ws))
+        assert plan.active == (2, 7, 4) and len(plan.transfers) == 2
+        svg = render_plan_svg(plan, diagram)
+
+        def xy(p):  # the canvas transform: 30 px per unit, 20 px margin, y flipped
+            return f"{20 + (p.x + 2) * 30:.2f}", f"{20 + (20 - p.y) * 30:.2f}"
+
+        site = dict(robots)
+        legs = (task.pickup, *plan.transfers, task.drop)
+        colors = ("#1f77b4", "#9467bd", "#8c564b")
+        expected = []
+        for j, rid in enumerate(plan.active):
+            for a, b in ((site[rid], legs[j]), (legs[j], legs[j + 1])):
+                expected.append((*xy(a), *xy(b), colors[j]))
+        dashed = re.findall(
+            r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)" '
+            r'stroke="([^"]+)" stroke-width="2.0" stroke-dasharray="6,3"/>',
+            svg,
+        )
+        assert dashed == expected

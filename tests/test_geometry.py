@@ -22,7 +22,6 @@ from relaysim.geometry import (
     diagram_to_json,
     dist,
     locate,
-    project_clamp,
     relay_point,
     shared_edge,
 )
@@ -232,38 +231,6 @@ class TestRelayPoint:
             p2 = Point(mx + b * bx, my + b * by)
             z, v = relay_point(x_i, x_j, SharedEdge(0, 1, p1, p2))
             assert abs(dist(z, x_i) - dist(z, x_j)) <= 1e-9
-
-
-class TestProjectClamp:
-    def test_interior_projection(self):
-        p = project_clamp(Point(0, 0), Point(1, -1), Point(1, 1))
-        assert (p.x, p.y) == (1.0, 0.0)
-
-    def test_clamped_to_endpoint(self):
-        p = project_clamp(Point(0, 5), Point(1, -1), Point(1, 1))
-        assert (p.x, p.y) == (1.0, 1.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateEdge):
-            project_clamp(Point(0, 0), Point(1, 1), Point(1, 1))
-
-    def test_minimizes_distance_over_dense_samples(self):
-        rng = random.Random(41)
-        for _ in range(50):
-            q = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            p1 = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            p2 = Point(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if dist(p1, p2) < 1e-6:
-                continue
-            proj = project_clamp(q, p1, p2)
-            best = min(
-                dist(
-                    q,
-                    Point(p1.x + (k / 10_000) * (p2.x - p1.x), p1.y + (k / 10_000) * (p2.y - p1.y)),
-                )
-                for k in range(10_001)
-            )
-            assert dist(q, proj) <= best + 1e-9
 
 
 def test_diagram_json_roundtrip(workspace20):

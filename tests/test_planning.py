@@ -8,7 +8,6 @@ from relaysim.nlu import TaskSpec
 from relaysim.planning import (
     astar,
     build_relay_plan,
-    endpoint_agents,
     plan_from_json,
     plan_to_json,
     select_active_agents,
@@ -89,34 +88,6 @@ class TestAstar:
         assert a == b
 
 
-class TestEndpointAgents:
-    def test_two_region_layout(self, workspace20):
-        d = compute_voronoi([(1, Point(5, 10)), (2, Point(15, 10))], workspace20)
-        task = TaskSpec(Point(2.5, 17.5), Point(17.5, 2.5), "glass of water", "cmd")
-        assert endpoint_agents(task, d) == (1, 2)
-
-    def test_both_in_one_cell(self, workspace20):
-        d = compute_voronoi([(0, Point(5, 10)), (1, Point(15, 10))], workspace20)
-        task = TaskSpec(Point(2, 2), Point(3, 18), "box", "cmd")
-        assert endpoint_agents(task, d) == (0, 0)
-
-    def test_matches_brute_force(self, workspace20, grid20):
-        rng = random.Random(23)
-        for _ in range(50):
-            sites = random_team(rng, 6, grid20)
-            d = compute_voronoi(sites, workspace20)
-            task = TaskSpec(
-                Point(rng.uniform(0, 20), rng.uniform(0, 20)),
-                Point(rng.uniform(0, 20), rng.uniform(0, 20)),
-                "box",
-                "cmd",
-            )
-            assert endpoint_agents(task, d) == (
-                nearest_site_brute(task.pickup, sites),
-                nearest_site_brute(task.drop, sites),
-            )
-
-
 class TestSelectActiveAgents:
     def test_single_region_path(self, workspace20, grid20):
         d = compute_voronoi([(0, Point(5, 10)), (1, Point(15, 10))], workspace20)
@@ -151,7 +122,7 @@ class TestBuildRelayPlan:
         plan = build_relay_plan(task, robots, d, grid20)
         assert plan.active == (0,)
         assert plan.transfers == ()
-        assert plan.segments == ((Point(10.5, 10.5), task.pickup, task.drop),)
+        assert plan.legs == (task.pickup, task.drop)
 
     def test_two_robot_handoff_on_shared_boundary(self, workspace20, grid20):
         robots = [(1, Point(5.5, 10.5)), (2, Point(15.5, 10.5))]
@@ -162,8 +133,7 @@ class TestBuildRelayPlan:
         assert len(plan.transfers) == 1
         z = plan.transfers[0]
         assert abs(dist(z, robots[0][1]) - dist(z, robots[1][1])) <= 1e-9
-        assert plan.segments[0][-1] == z
-        assert plan.segments[1][1] == z
+        assert plan.legs == (task.pickup, z, task.drop)
 
     def test_random_instances_invariants(self, workspace20, grid20):
         rng = random.Random(37)
@@ -182,7 +152,8 @@ class TestBuildRelayPlan:
                 continue
             plan = build_relay_plan(task, robots, d, grid20)
             assert len(plan.transfers) == len(plan.active) - 1
-            assert len(plan.segments) == len(plan.active)
+            assert len(set(plan.active)) == len(plan.active)
+            assert set(plan.active) <= set(pos_lookup)
             for j, (z, fb) in enumerate(zip(plan.transfers, plan.transfer_fallback)):
                 if not fb:
                     a = pos_lookup[plan.active[j]]
@@ -203,16 +174,15 @@ class TestBuildRelayPlan:
             if task.pickup == task.drop:
                 continue
             plan = build_relay_plan(task, robots, d, grid20)
-            # concatenate segments, dropping the duplicated transfer points
-            stitched = list(plan.segments[0])
-            for seg in plan.segments[1:]:
-                assert seg[1] == stitched[-1]  # resumes at the previous transfer
-                stitched.extend(seg[2:])
-            interesting = [p for p in stitched if p in (task.pickup, task.drop)]
-            assert interesting[0] == task.pickup
-            assert interesting[-1] == task.drop
-            assert stitched.count(task.pickup) == 1
-            assert stitched.count(task.drop) == 1
+            # pickup, then the transfers in chain order, then drop
+            legs = plan.legs
+            assert len(legs) == len(plan.active) + 1
+            assert legs[0] == task.pickup and legs[-1] == task.drop
+            assert legs[1:-1] == plan.transfers
+            assert legs.count(task.pickup) == 1
+            assert legs.count(task.drop) == 1
+            # the first carrier owns the pickup
+            assert plan.active[0] == nearest_site_brute(task.pickup, robots)
 
 
 class TestSingleAgentBaseline:
@@ -224,7 +194,7 @@ class TestSingleAgentBaseline:
         base = single_agent_baseline(task, robots, d, grid20)
         assert base.active == relay.active
         assert base.transfers == relay.transfers
-        assert base.segments == relay.segments
+        assert base.legs == relay.legs == (task.pickup, task.drop)
         assert base.baseline and not relay.baseline
 
     def test_only_pickup_owner_active(self, workspace20, grid20):
@@ -240,7 +210,8 @@ class TestSingleAgentBaseline:
         d = compute_voronoi(robots, workspace20)
         task = TaskSpec(Point(2.5, 17.5), Point(17.5, 2.5), "box", "cmd")
         base = single_agent_baseline(task, robots, d, grid20)
-        x, pickup, drop = base.segments[0]
+        x = dict(robots)[base.active[0]]
+        pickup, drop = base.legs
         leg1 = astar(grid20, cell_of(x, grid20), cell_of(pickup, grid20)).length
         leg2 = astar(grid20, cell_of(pickup, grid20), cell_of(drop, grid20)).length
         assert leg1 == bfs_shortest_moves(grid20, cell_of(x, grid20), cell_of(pickup, grid20))

@@ -278,6 +278,9 @@ def test_config_validation():
         SimConfig(min_task_separation=100.0)
     with pytest.raises(ValueError):
         SimConfig(trials_per_size=0)
+    for sizes in ((), (3, 0)):
+        with pytest.raises(ValueError):
+            SimConfig(team_sizes=sizes)
 
 
 def test_config_from_dict_round_trip():

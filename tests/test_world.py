@@ -16,7 +16,6 @@ from relaysim.world import (
     load_occupancy,
     load_semantic_map,
     resolve_zone,
-    save_semantic_map,
 )
 
 
@@ -84,7 +83,7 @@ class TestSemanticMap:
 
     def test_file_round_trip(self, five_zone_map, workspace20, tmp_path):
         path = tmp_path / "map.json"
-        save_semantic_map(five_zone_map, workspace20, path)
+        path.write_text(dump_semantic_map(five_zone_map, workspace20), encoding="utf-8")
         smap, ws = load_semantic_map(path)
         assert smap.zones == five_zone_map.zones
         assert ws == workspace20
