@@ -17,7 +17,6 @@ from .planning import (
     RelayPlan,
     astar,
     build_relay_plan,
-    select_active_agents,
     single_agent_baseline,
 )
 from .simulation import BatchSummary, RunConfig, SimConfig, TrialRecord, generate_trial, run_batch, run_trial, summarize
@@ -42,7 +41,6 @@ __all__ = [
     "RelayPlan",
     "astar",
     "build_relay_plan",
-    "select_active_agents",
     "single_agent_baseline",
     "BatchSummary",
     "RunConfig",

@@ -196,14 +196,12 @@ class MessageBus:
     """Reliable FIFO bus with an optional fixed delivery delay in ticks."""
 
     delay: int = 0
-    _queues: dict[int, deque[tuple[int, int, HandoffMessage]]] = field(default_factory=dict)
-    _seq: int = 0
+    _queues: dict[int, deque[tuple[int, HandoffMessage]]] = field(default_factory=dict)
     log: list[HandoffMessage] = field(default_factory=list)
 
     def send(self, message: HandoffMessage) -> None:
         q = self._queues.setdefault(message.to_id, deque())
-        q.append((message.tick + self.delay, self._seq, message))
-        self._seq += 1
+        q.append((message.tick + self.delay, message))
         self.log.append(message)
 
     def poll(self, robot_id: int, tick: int) -> list[HandoffMessage]:
@@ -213,5 +211,5 @@ class MessageBus:
             return []
         out: list[HandoffMessage] = []
         while q and q[0][0] <= tick:
-            out.append(q.popleft()[2])
+            out.append(q.popleft()[1])
         return out

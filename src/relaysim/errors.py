@@ -79,5 +79,9 @@ class PlacementExhausted(RelaysimError):
     pass
 
 
+class InvalidStart(RelaysimError):
+    """A robot starts in a blocked cell or in another robot's cell."""
+
+
 class NoCompletedTrials(RelaysimError):
     pass

@@ -1,4 +1,4 @@
-"""Global A* planning, active-agent selection, and relay plan assembly."""
+"""Global A* planning and relay plan assembly."""
 
 from __future__ import annotations
 
@@ -99,18 +99,6 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     raise NoPath(f"no path from {start} to {goal}")
 
 
-def _route_owners(path: GridPath, diagram: VoronoiDiagram, grid: OccupancyGrid) -> list[int]:
-    """The Voronoi owner of each path-cell center, in path order."""
-    return [locate(center_of(cell, grid), diagram) for cell in path.cells]
-
-
-def select_active_agents(
-    path: GridPath, diagram: VoronoiDiagram, grid: OccupancyGrid
-) -> list[int]:
-    """Owners of path-cell centers, ordered by first appearance on the path."""
-    return list(dict.fromkeys(_route_owners(path, diagram, grid)))
-
-
 def _crossing_midpoint(
     owners: list[int], path: GridPath, grid: OccupancyGrid, next_agent: int, start_idx: int
 ) -> tuple[Point, int]:
@@ -133,7 +121,9 @@ def build_relay_plan(
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
     path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
-    owners = _route_owners(path, diagram, grid)
+    # the Voronoi owner of each path-cell center; the chain is the owners in
+    # order of first appearance
+    owners = [locate(center_of(cell, grid), diagram) for cell in path.cells]
     active = list(dict.fromkeys(owners))
 
     transfers: list[Point] = []

@@ -23,7 +23,7 @@ from .coordination import (
     RobotState,
     fsm_step,
 )
-from .errors import BlockedEndpoint, NoCompletedTrials, NoPath, PlacementExhausted
+from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, Workspace, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
 from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
@@ -35,12 +35,22 @@ _REPLAN_AFTER = 3
 _NEIGHBOR_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """How `simulate` executes a plan."""
 
     message_delay: int = 0
     tick_budget: int | None = None  # defaults to 10 * the simulated grid's area
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.message_delay) or self.message_delay < 0:
+            raise ValueError("message_delay must be an integer >= 0")
+        if self.tick_budget is not None and (not _is_int(self.tick_budget) or self.tick_budget < 1):
+            raise ValueError("tick_budget must be null or an integer >= 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -59,13 +69,16 @@ class SimConfig(RunConfig):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # team sizes decoded from a JSON list are stored as a tuple of ints
-        object.__setattr__(self, "team_sizes", tuple(int(n) for n in self.team_sizes))
+        super().__post_init__()
+        # team sizes decoded from a JSON list are stored as a tuple
+        object.__setattr__(self, "team_sizes", tuple(self.team_sizes))
+        if not all(_is_int(n) for n in self.team_sizes):
+            raise ValueError("team_sizes must be integers")
         diam = math.hypot(self.grid_cols, self.grid_rows)
         if self.min_task_separation >= diam:
             raise ValueError("min_task_separation must be below the grid diameter")
-        if self.trials_per_size < 1:
-            raise ValueError("trials_per_size must be >= 1")
+        if not _is_int(self.trials_per_size) or self.trials_per_size < 1:
+            raise ValueError("trials_per_size must be an integer >= 1")
         if not self.team_sizes or min(self.team_sizes) < 1:
             raise ValueError("team_sizes must be a non-empty list of sizes >= 1")
 
@@ -193,22 +206,28 @@ def generate_trial(
 @dataclass
 class _Robot:
     """Physical state of one robot. Its FSM owns the leg; simulate caches
-    the cell of the FSM's goal after every fsm_step."""
+    the cells where the FSM's goal counts as reached after every fsm_step."""
 
     rid: int
     cell: GridCell
     fsm: RobotFsm
-    # task-critical cells (pickup/drop) a robot must never rest on at a transfer
-    critical: frozenset[GridCell]
     route: list[GridCell] = field(default_factory=list)
     blocked_ticks: int = 0
     moves: int = 0
-    goal_cell: GridCell | None = None
-    exact: bool = False  # the goal is the pickup or drop cell, not a transfer
+    stops: tuple[GridCell, ...] = ()  # in the order the router tries them
 
 
-def _chebyshev(a: GridCell, b: GridCell) -> int:
-    return max(abs(a.col - b.col), abs(a.row - b.row))
+def _transfer_stops(
+    cell: GridCell, grid: OccupancyGrid, task_cells: frozenset[GridCell]
+) -> tuple[GridCell, ...]:
+    """A transfer in `cell` is reached on that cell or a neighbour, if it is
+    free and neither the pickup's nor the drop's cell."""
+    around = [GridCell(cell.col + dc, cell.row + dr) for dc, dr in _NEIGHBOR_OFFSETS]
+    return tuple(
+        c
+        for c in (cell, *around)
+        if grid.in_bounds(c) and not grid.is_blocked(c) and c not in task_cells
+    )
 
 
 def _build_robots(
@@ -219,13 +238,10 @@ def _build_robots(
 ) -> dict[int, _Robot]:
     task = plan.task
     active = plan.active
-    critical = frozenset((cell_of(task.pickup, grid), cell_of(task.drop, grid)))
 
     robots: dict[int, _Robot] = {}
     for rid, pos in placements:
-        robots[rid] = _Robot(
-            rid=rid, cell=cell_of(pos, grid), fsm=RobotFsm(robot_id=rid), critical=critical
-        )
+        robots[rid] = _Robot(rid=rid, cell=cell_of(pos, grid), fsm=RobotFsm(robot_id=rid))
 
     for j, rid in enumerate(active):
         first = j == 0
@@ -248,47 +264,21 @@ def _plan_route(
     grid: OccupancyGrid,
     occupied: dict[GridCell, int] | None = None,
 ) -> list[GridCell]:
-    goal = robot.goal_cell
-    if robot.exact:
-        targets = [goal]
-    else:
-        # any non-critical cell within one diagonal of the transfer cell works
-        targets = [goal] if goal not in robot.critical else []
-        for dc, dr in _NEIGHBOR_OFFSETS:
-            cand = GridCell(goal.col + dc, goal.row + dr)
-            if (
-                grid.in_bounds(cand)
-                and not grid.is_blocked(cand)
-                and cand not in robot.critical
-            ):
-                targets.append(cand)
-    extra = set()
-    if occupied:
-        extra = {c for c, rid in occupied.items() if rid != robot.rid}
-    for target in targets:
-        if target == robot.cell:
-            return []
+    """Route to the first of the robot's stops that A* reaches; with
+    `occupied`, around the cells other robots stand on."""
+    extra = frozenset(c for c, rid in (occupied or {}).items() if rid != robot.rid)
+    work = grid
+    if extra:
+        work = OccupancyGrid(workspace=grid.workspace, blocked=grid.blocked | extra)
+    for target in robot.stops:
         if target in extra:
             continue
-        work = grid
-        if extra:
-            work = OccupancyGrid(
-                workspace=grid.workspace,
-                blocked=grid.blocked | frozenset(extra - {target, robot.cell}),
-            )
         try:
             path = astar(work, robot.cell, target)
         except (NoPath, BlockedEndpoint):
             continue
         return list(path.cells[1:])
     return []
-
-
-def _at_goal(robot: _Robot) -> bool:
-    if robot.exact:
-        return robot.cell == robot.goal_cell
-    # stop within one cell diagonal, but never rest on the pickup/drop cell
-    return _chebyshev(robot.cell, robot.goal_cell) <= 1 and robot.cell not in robot.critical
 
 
 def simulate(
@@ -304,10 +294,17 @@ def simulate(
     bus = MessageBus(delay=config.message_delay)
     robots = _build_robots(plan, placements, grid, task_id)
     order = sorted(robots)
-    occupied: dict[GridCell, int] = {robots[r].cell: r for r in order}
-    if len(occupied) != len(robots):
-        raise ValueError("robots must start on distinct cells")
+    occupied: dict[GridCell, int] = {}
+    for rid in order:
+        cell = robots[rid].cell
+        if cell in occupied:
+            raise InvalidStart(f"robots {occupied[cell]} and {rid} start in the same cell {cell}")
+        if grid.is_blocked(cell):
+            raise InvalidStart(f"robot {rid} starts in the blocked cell {cell}")
+        occupied[cell] = rid
     cells = {p: cell_of(p, grid) for p in plan.legs}
+    task_cells = frozenset((cells[plan.task.pickup], cells[plan.task.drop]))
+    transfer_stops = {z: _transfer_stops(cells[z], grid, task_cells) for z in plan.transfers}
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     completed = False
@@ -330,13 +327,16 @@ def simulate(
                 bus.send(m)
         fsm = rb.fsm
         goal = fsm.goal
-        if goal is not None:
-            rb.goal_cell = cells[goal]
-            rb.exact = goal == (fsm.drop_at if fsm.carrying is not None else fsm.pickup_at)
+        if goal is None:
+            rb.stops = ()
+        elif goal == (fsm.drop_at if fsm.carrying is not None else fsm.pickup_at):
+            rb.stops = (cells[goal],)
+        else:
+            rb.stops = transfer_stops[goal]
 
     def process_arrivals(rb: _Robot, tick: int) -> None:
         # a single tick can chain arrivals when consecutive goals share a cell
-        while rb.fsm.state is RobotState.NAVIGATE and _at_goal(rb):
+        while rb.fsm.state is RobotState.NAVIGATE and rb.cell in rb.stops:
             rb.route = []
             step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick))
             if rb.fsm.state is RobotState.PICKUP:
@@ -374,7 +374,7 @@ def simulate(
         # movement phase: lower ids move first; occupied next cells mean waiting
         for rid in order:
             rb = robots[rid]
-            if rb.fsm.state is not RobotState.NAVIGATE or _at_goal(rb):
+            if rb.fsm.state is not RobotState.NAVIGATE or rb.cell in rb.stops:
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid)

@@ -7,7 +7,7 @@ import socket
 import pytest
 
 from relaysim import simulation
-from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, main
+from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, EXIT_PLANNING, main
 from relaysim.geometry import Point, Workspace, compute_voronoi
 from relaysim.nlu import TaskSpec
 from relaysim.planning import build_relay_plan, plan_from_json
@@ -123,6 +123,19 @@ class TestRun:
         assert kinds.count("HandoffReady") == len(plan.transfers)
         assert kinds.count("HandoffAck") == len(plan.transfers)
 
+    def test_robots_sharing_a_cell_exit_3(self, map_file, tmp_path, capsys):
+        robots = tmp_path / "robots.json"
+        rows = [[0, 5.2, 10.2], [1, 5.7, 10.7], [2, 15.5, 10.5]]
+        robots.write_text(json.dumps(rows), encoding="utf-8")
+        code = main(
+            ["run", "--command", COMMAND, "--map", map_file, "--robots", str(robots),
+             "--out", str(tmp_path / "rec.jsonl")]
+        )
+        assert code == EXIT_PLANNING
+        assert capsys.readouterr().err.splitlines() == [
+            "error: robots 0 and 1 start in the same cell GridCell(col=5, row=10)"
+        ]
+
     def test_budget_exceeded_exit_code(self, map_file, robots_file, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tick_budget": 1}), encoding="utf-8")
@@ -230,12 +243,21 @@ class TestMalformedInput:
             (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
               "--config", "{bad}"], {"team_sizes": [3]}),
             (["batch", "--seed", "1", "--config", "{bad}"], {"team_sizes": [0]}),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
+              "--config", "{bad}"], {"message_delay": "2"}),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
+              "--config", "{bad}"], {"message_delay": -3}),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
+              "--config", "{bad}"], {"tick_budget": 0}),
+            (["batch", "--seed", "1", "--config", "{bad}"], {"team_sizes": [2.7]}),
             (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"],
              {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
+             "string-message-delay", "negative-message-delay", "zero-tick-budget",
+             "fractional-team-size-batch-config",
              "map-not-json", "diagram-without-cells"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(

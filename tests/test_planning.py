@@ -10,7 +10,6 @@ from relaysim.planning import (
     build_relay_plan,
     plan_from_json,
     plan_to_json,
-    select_active_agents,
     single_agent_baseline,
 )
 from relaysim.world import GridCell, OccupancyGrid, cell_of, center_of
@@ -88,16 +87,22 @@ class TestAstar:
         assert a == b
 
 
-class TestSelectActiveAgents:
+def _cell_task(a: GridCell, b: GridCell, grid: OccupancyGrid) -> TaskSpec:
+    return TaskSpec(center_of(a, grid), center_of(b, grid), "box", "cmd")
+
+
+class TestActiveChain:
     def test_single_region_path(self, workspace20, grid20):
-        d = compute_voronoi([(0, Point(5, 10)), (1, Point(15, 10))], workspace20)
-        path = astar(grid20, GridCell(1, 1), GridCell(4, 4))
-        assert select_active_agents(path, d, grid20) == [0]
+        robots = [(0, Point(5, 10)), (1, Point(15, 10))]
+        d = compute_voronoi(robots, workspace20)
+        task = _cell_task(GridCell(1, 1), GridCell(4, 4), grid20)
+        assert build_relay_plan(task, robots, d, grid20).active == (0,)
 
     def test_crossing_the_split(self, workspace20, grid20):
-        d = compute_voronoi([(0, Point(5, 10)), (1, Point(15, 10))], workspace20)
-        path = astar(grid20, GridCell(2, 10), GridCell(17, 10))
-        assert select_active_agents(path, d, grid20) == [0, 1]
+        robots = [(0, Point(5, 10)), (1, Point(15, 10))]
+        d = compute_voronoi(robots, workspace20)
+        task = _cell_task(GridCell(2, 10), GridCell(17, 10), grid20)
+        assert build_relay_plan(task, robots, d, grid20).active == (0, 1)
 
     def test_set_equals_owner_scan(self, workspace20, grid20):
         rng = random.Random(29)
@@ -108,7 +113,7 @@ class TestSelectActiveAgents:
                 [GridCell(c, r) for c in range(20) for r in range(20)], 2
             )
             path = astar(grid20, a, b)
-            active = select_active_agents(path, d, grid20)
+            active = build_relay_plan(_cell_task(a, b, grid20), sites, d, grid20).active
             owners = {locate(center_of(c, grid20), d) for c in path.cells}
             assert set(active) == owners
             assert len(active) == len(set(active))

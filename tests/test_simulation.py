@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 
 from relaysim.coordination import MessageKind
-from relaysim.errors import NoCompletedTrials
+from relaysim.errors import InvalidStart, NoCompletedTrials
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
 from relaysim.nlu import TaskSpec
-from relaysim.planning import build_relay_plan
+from relaysim.planning import build_relay_plan, single_agent_baseline
 from relaysim.simulation import (
+    RunConfig,
     SimConfig,
     generate_trial,
     run_batch,
@@ -172,6 +173,22 @@ class TestSingleTrials:
         assert not out.record.completed
         assert out.record.ticks == 10 * 6 * 4
 
+    def test_start_in_a_blocked_cell_is_rejected(self):
+        workspace = Workspace(Point(0.0, 0.0), Point(6.0, 4.0), 6, 4)
+        grid = OccupancyGrid(workspace=workspace, blocked=frozenset({GridCell(0, 0)}))
+        placements = [(0, center_of(GridCell(1, 0), grid)), (1, center_of(GridCell(5, 3), grid))]
+        task = TaskSpec(
+            pickup=center_of(GridCell(1, 3), grid),
+            drop=center_of(GridCell(5, 0), grid),
+            item="box",
+            source_text="t",
+        )
+        plan = build_relay_plan(task, placements, compute_voronoi(placements, workspace), grid)
+        simulate(plan, placements, grid, RunConfig())
+        walled = OccupancyGrid(workspace=workspace, blocked=frozenset({GridCell(5, 3)}))
+        with pytest.raises(InvalidStart, match="robot 1 starts in the blocked cell"):
+            simulate(plan, placements, walled, RunConfig())
+
     @pytest.mark.parametrize("message_delay", [0, 2])
     def test_logged_message_leds_follow_kind(self, message_delay):
         leds = {"HandoffReady": "blue", "HandoffAck": "green", "TaskComplete": "off"}
@@ -184,6 +201,64 @@ class TestSingleTrials:
                 assert data["status_led"] == leds[data["kind"]]
                 kinds.add(data["kind"])
         assert kinds == set(leds)
+
+
+class TestObstacleMaps:
+    """Relay and baseline runs on 20x20 maps with 40 random blocked cells."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """(grid, outcome) of every relay and baseline run."""
+        workspace = Workspace(Point(0.0, 0.0), Point(20.0, 20.0), 20, 20)
+        cells = [GridCell(c, r) for r in range(20) for c in range(20)]
+        runs = []
+        for i in range(100):
+            rng = random.Random(f"obstacles/{i}")
+            grid = OccupancyGrid(workspace=workspace, blocked=frozenset(rng.sample(cells, 40)))
+            team = 2 + i % 12
+            free = [c for c in cells if not grid.is_blocked(c)]
+            *starts, pickup, drop = rng.sample(free, team + 2)
+            placements = [(rid, center_of(c, grid)) for rid, c in enumerate(starts)]
+            task = TaskSpec(center_of(pickup, grid), center_of(drop, grid), "box", "t")
+            config = RunConfig(message_delay=2 * ((i // 12) % 2))
+            diagram = compute_voronoi(placements, workspace)
+            for make_plan in (build_relay_plan, single_agent_baseline):
+                plan = make_plan(task, placements, diagram, grid)
+                runs.append((grid, simulate(plan, placements, grid, config, record_trace=True)))
+        return runs
+
+    def test_handoffs_stop_on_free_cells_next_to_the_transfer(self, outcomes):
+        handoffs = 0
+        for grid, out in outcomes:
+            plan = out.plan
+            task_cells = {cell_of(plan.task.pickup, grid), cell_of(plan.task.drop, grid)}
+            for msg in out.messages:
+                if msg.kind is MessageKind.HANDOFF_READY:
+                    robot, sender = msg.from_id, msg.from_id
+                elif msg.kind is MessageKind.HANDOFF_ACK:
+                    robot, sender = msg.from_id, msg.to_id
+                else:
+                    continue
+                cell = out.trace[msg.tick].positions[robot]
+                planned = cell_of(plan.transfers[plan.active.index(sender)], grid)
+                assert not grid.is_blocked(cell)
+                assert cell not in task_cells
+                assert _chebyshev(cell, planned) <= 1
+                handoffs += 1
+        assert handoffs > 100
+
+    def test_records_message_logs_and_traces_digest(self, outcomes):
+        h = hashlib.sha256()
+        for _, out in outcomes:
+            h.update(out.record.to_json_line().encode() + b"\n")
+            for msg in out.messages:
+                h.update(msg.to_json_line().encode() + b"\n")
+            for snap in out.trace:
+                cells = [[r, c.col, c.row] for r, c in sorted(snap.positions.items())]
+                h.update(json.dumps([snap.tick, list(snap.carriers), cells]).encode() + b"\n")
+        assert h.hexdigest() == (
+            "92557e706021fb180fc445d04db524d58ed030f9b4ec690d39304ab710ae1af8"
+        )
 
 
 class TestRunBatch:
@@ -276,11 +351,24 @@ def test_trial_seed_is_stable():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(min_task_separation=100.0)
-    with pytest.raises(ValueError):
-        SimConfig(trials_per_size=0)
-    for sizes in ((), (3, 0)):
+    for trials in (0, 2.5):
+        with pytest.raises(ValueError):
+            SimConfig(trials_per_size=trials)
+    for sizes in ((), (3, 0), (2.7,), ("3",), (True,)):
         with pytest.raises(ValueError):
             SimConfig(team_sizes=sizes)
+    for config_type in (RunConfig, SimConfig):
+        for fields in (
+            {"message_delay": "2"},
+            {"message_delay": -3},
+            {"message_delay": True},
+            {"tick_budget": 0},
+            {"tick_budget": 2.5},
+            {"tick_budget": True},
+        ):
+            with pytest.raises(ValueError):
+                config_type(**fields)
+    assert RunConfig(message_delay=0, tick_budget=1) == RunConfig(0, 1)
 
 
 def test_config_from_dict_round_trip():
