@@ -156,7 +156,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
         flags["team_sizes"] = args.team_sizes
     if args.trials is not None:
         flags["trials_per_size"] = args.trials
-    config = dataclasses.replace(_load_config(args.config, simulation.SimConfig), **flags)
+    loaded = _load_config(args.config, simulation.SimConfig)
+    try:
+        config = dataclasses.replace(loaded, **flags)
+    except ValueError as exc:  # the flags do not fit the configured grid
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     with contextlib.ExitStack() as stack:
         # open the outputs first, so a bad path fails before the batch runs
         csv_out, jsonl_out = (

@@ -61,41 +61,48 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
             raise CellOutOfBounds(f"{c} out of bounds")
         if grid.is_blocked(c):
             raise BlockedEndpoint(f"{c} is blocked")
-    cols = grid.cols
-
-    def h(c: GridCell) -> int:
-        return abs(c.col - goal.col) + abs(c.row - goal.row)
-
-    def idx(c: GridCell) -> int:
-        return c.row * cols + c.col
-
-    open_heap: list[tuple[int, int, int, GridCell]] = [(h(start), h(start), idx(start), start)]
-    g = {start: 0}
-    came: dict[GridCell, GridCell] = {}
-    closed: set[GridCell] = set()
-    while open_heap:
-        _, _, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+    # the search runs on row-major indices; a heap key packs (f, h, index)
+    # into one int, as h < cols + rows and index < size
+    cols, rows = grid.cols, grid.rows
+    size = cols * rows
+    span = cols + rows
+    gcol, grow = goal.col, goal.row
+    src = start.row * cols + start.col
+    dst = grow * cols + gcol
+    closed = bytearray(grid.blocked_mask)  # blocked cells are never expanded
+    g = [size] * size  # no path is `size` moves long
+    came = [-1] * size
+    h0 = abs(start.col - gcol) + abs(start.row - grow)
+    g[src] = 0
+    heap = [(h0 * span + h0) * size + src]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        cur = pop(heap) % size
+        if closed[cur]:
             continue
-        if cur == goal:
-            path = [cur]
-            while cur in came:
+        if cur == dst:
+            path = [goal]
+            cur = came[cur]
+            while cur >= 0:
+                path.append(GridCell(cur % cols, cur // cols))
                 cur = came[cur]
-                path.append(cur)
             path.reverse()
             return GridPath(cells=tuple(path))
-        closed.add(cur)
-        gc = g[cur]
-        for dc, dr in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            nb = GridCell(cur.col + dc, cur.row + dr)
-            if not grid.in_bounds(nb) or grid.is_blocked(nb) or nb in closed:
-                continue
-            ng = gc + 1
-            if ng < g.get(nb, 1 << 60):
+        closed[cur] = 1
+        ng = g[cur] + 1
+        r, c = divmod(cur, cols)
+        hc, hr = abs(c - gcol), abs(r - grow)
+        # row-end tests keep a column step from wrapping into the next row
+        for ok, nb, hn in (
+            (r + 1 < rows, cur + cols, hc + abs(r + 1 - grow)),
+            (r > 0, cur - cols, hc + abs(r - 1 - grow)),
+            (c + 1 < cols, cur + 1, hr + abs(c + 1 - gcol)),
+            (c > 0, cur - 1, hr + abs(c - 1 - gcol)),
+        ):
+            if ok and not closed[nb] and ng < g[nb]:
                 g[nb] = ng
                 came[nb] = cur
-                hn = h(nb)
-                heapq.heappush(open_heap, (ng + hn, hn, idx(nb), nb))
+                push(heap, ((ng + hn) * span + hn) * size + nb)
     raise NoPath(f"no path from {start} to {goal}")
 
 

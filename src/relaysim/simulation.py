@@ -74,6 +74,8 @@ class SimConfig(RunConfig):
         object.__setattr__(self, "team_sizes", tuple(self.team_sizes))
         if not all(_is_int(n) for n in self.team_sizes):
             raise ValueError("team_sizes must be integers")
+        if not all(_is_int(n) and n >= 1 for n in (self.grid_cols, self.grid_rows)):
+            raise ValueError("grid_cols and grid_rows must be integers >= 1")
         diam = math.hypot(self.grid_cols, self.grid_rows)
         if self.min_task_separation >= diam:
             raise ValueError("min_task_separation must be below the grid diameter")
@@ -81,6 +83,9 @@ class SimConfig(RunConfig):
             raise ValueError("trials_per_size must be an integer >= 1")
         if not self.team_sizes or min(self.team_sizes) < 1:
             raise ValueError("team_sizes must be a non-empty list of sizes >= 1")
+        # the pickup and the drop need two cells that no robot starts on
+        if max(self.team_sizes) > self.grid_cols * self.grid_rows - 2:
+            raise ValueError("team_sizes must leave two of the grid's cells free")
 
     def workspace(self) -> Workspace:
         return Workspace(
@@ -168,8 +173,9 @@ def generate_trial(
     if team_size < 1:
         raise ValueError("team_size must be >= 1")
     cols, rows = config.grid_cols, config.grid_rows
-    all_cells = [GridCell(c, r) for r in range(rows) for c in range(cols)]
-    robot_cells = rng.sample(all_cells, team_size)
+    # row-major indices: the same draws as sampling a list of every cell
+    drawn = rng.sample(range(cols * rows), team_size)
+    robot_cells = [GridCell(i % cols, i // cols) for i in drawn]
     taken = set(robot_cells)
     grid = OccupancyGrid(workspace=config.workspace())
 
@@ -368,13 +374,16 @@ def simulate(
     deliver_messages(0)
     snapshot(0)
 
+    fleet = [robots[rid] for rid in order]
     tick = 0
     while not completed and tick < budget:
         tick += 1
+        # only an fsm_step changes a state, and only its own robot's, so the
+        # robots navigating now are the only ones either phase below acts on
+        navigating = [rb for rb in fleet if rb.fsm.state is RobotState.NAVIGATE]
         # movement phase: lower ids move first; occupied next cells mean waiting
-        for rid in order:
-            rb = robots[rid]
-            if rb.fsm.state is not RobotState.NAVIGATE or rb.cell in rb.stops:
+        for rb in navigating:
+            if rb.cell in rb.stops:
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid)
@@ -392,13 +401,13 @@ def simulate(
                 continue
             del occupied[rb.cell]
             rb.cell = nxt
-            occupied[nxt] = rid
+            occupied[nxt] = rb.rid
             rb.route.pop(0)
             rb.moves += 1
             rb.blocked_ticks = 0
         # arrival + FSM phase
-        for rid in order:
-            process_arrivals(robots[rid], tick)
+        for rb in navigating:
+            process_arrivals(rb, tick)
         # message cascade (delay 0 resolves a full handoff within the tick)
         deliver_messages(tick)
         snapshot(tick)

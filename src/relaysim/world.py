@@ -6,6 +6,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CellOutOfBounds, PointOutsideWorkspace, UnknownZone
@@ -51,6 +52,14 @@ class OccupancyGrid:
 
     def is_blocked(self, cell: GridCell) -> bool:
         return cell in self.blocked
+
+    @cached_property
+    def blocked_mask(self) -> bytes:
+        """Row-major: byte `row * cols + col` is 1 where that cell is blocked."""
+        mask = bytearray(self.cols * self.rows)
+        for c in self.blocked:
+            mask[c.row * self.cols + c.col] = 1
+        return bytes(mask)
 
 
 def cell_of(point: Point, grid: OccupancyGrid) -> GridCell:

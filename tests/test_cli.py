@@ -250,6 +250,10 @@ class TestMalformedInput:
             (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
               "--config", "{bad}"], {"tick_budget": 0}),
             (["batch", "--seed", "1", "--config", "{bad}"], {"team_sizes": [2.7]}),
+            (["batch", "--seed", "3", "--trials", "1", "--team-sizes", "1", "--config", "{bad}"],
+             {"grid_cols": 0}),
+            (["batch", "--seed", "3", "--trials", "1", "--config", "{bad}"],
+             {"team_sizes": [500]}),
             (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"],
              {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
@@ -257,7 +261,8 @@ class TestMalformedInput:
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
              "string-message-delay", "negative-message-delay", "zero-tick-budget",
-             "fractional-team-size-batch-config",
+             "fractional-team-size-batch-config", "zero-grid-cols-batch-config",
+             "team-larger-than-grid-batch-config",
              "map-not-json", "diagram-without-cells"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
@@ -313,6 +318,15 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_team_size_flag_larger_than_the_grid_exits_2(self, capsys, monkeypatch):
+        def run_batch(*args, **kwargs):
+            pytest.fail("run_batch ran although its team size does not fit the grid")
+
+        monkeypatch.setattr(simulation, "run_batch", run_batch)
+        assert main(["batch", "--seed", "3", "--trials", "1", "--team-sizes", "399"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestExternalInterpreter:

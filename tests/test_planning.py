@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from relaysim.errors import BlockedEndpoint, NoPath
+from relaysim.errors import BlockedEndpoint, CellOutOfBounds, NoPath
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist, locate
 from relaysim.nlu import TaskSpec
 from relaysim.planning import (
@@ -85,6 +86,59 @@ class TestAstar:
         a = astar(grid20, GridCell(2, 3), GridCell(15, 11))
         b = astar(grid20, GridCell(2, 3), GridCell(15, 11))
         assert a == b
+
+    def test_no_route_wraps_across_a_row_end(self):
+        # (2, 0) is walled in; its row-major successor is (0, 1), the goal
+        ws = Workspace(Point(0, 0), Point(3.0, 2.0), 3, 2)
+        grid = OccupancyGrid(workspace=ws, blocked=frozenset({GridCell(1, 0), GridCell(2, 1)}))
+        for a, b in ((GridCell(2, 0), GridCell(0, 1)), (GridCell(0, 1), GridCell(2, 0))):
+            with pytest.raises(NoPath):
+                astar(grid, a, b)
+
+    def test_out_of_bounds_endpoints_do_not_alias_a_cell(self):
+        ws = Workspace(Point(0, 0), Point(5.0, 4.0), 5, 4)
+        grid = OccupancyGrid(workspace=ws)
+        inside = GridCell(2, 1)
+        for outside in (GridCell(-1, 1), GridCell(5, 1), GridCell(2, 4), GridCell(0, -1)):
+            with pytest.raises(CellOutOfBounds):
+                astar(grid, outside, inside)
+            with pytest.raises(CellOutOfBounds):
+                astar(grid, inside, outside)
+
+    def test_one_cell_grid(self):
+        grid = OccupancyGrid(workspace=Workspace(Point(0, 0), Point(1.0, 1.0), 1, 1))
+        assert astar(grid, GridCell(0, 0), GridCell(0, 0)).cells == (GridCell(0, 0),)
+
+    def test_paths_and_no_paths_digest(self):
+        # pins the (f, h, row-major index) tie-break: an equally short but
+        # different path, or a different set of NoPath calls, changes the digest
+        rng = random.Random(2024)
+        shapes = ((20, 20, 0.25), (60, 60, 0.08), (37, 11, 0.25), (1, 30, 0.1))
+        h = hashlib.sha256()
+        no_paths = 0
+        for i in range(300):
+            cols, rows, frac = shapes[i % len(shapes)]
+            grid = random_grid(rng, cols, rows, frac)
+            free = [
+                GridCell(c, r)
+                for r in range(rows)
+                for c in range(cols)
+                if not grid.is_blocked(GridCell(c, r))
+            ]
+            start, goal = rng.sample(free, 2)
+            for a, b in ((start, goal), (goal, start), (start, start)):
+                h.update(f"{cols}x{rows} {a.col},{a.row}->{b.col},{b.row}:".encode())
+                try:
+                    cells = astar(grid, a, b).cells
+                except NoPath:
+                    h.update(b"none;")
+                    no_paths += 1
+                    continue
+                h.update(" ".join(f"{c.col},{c.row}" for c in cells).encode() + b";")
+        assert no_paths > 50
+        assert h.hexdigest() == (
+            "1aee088ef8a5089a0cdf375cb5ba9e8ac68f2bb92b360c39254569eb778a89d6"
+        )
 
 
 def _cell_task(a: GridCell, b: GridCell, grid: OccupancyGrid) -> TaskSpec:

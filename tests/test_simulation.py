@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from relaysim import simulation
 from relaysim.coordination import MessageKind
 from relaysim.errors import InvalidStart, NoCompletedTrials
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
@@ -56,6 +57,21 @@ class TestGenerateTrial:
     def test_rejects_bad_team_size(self):
         with pytest.raises(ValueError):
             generate_trial(0, SMALL, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "cols,rows,sizes", [(20, 20, (1, 10)), (7, 13, (1, 12, 60)), (60, 60, (10, 600)),
+                            (1, 5, (1, 3))]
+    )
+    def test_robot_cells_are_a_sample_of_every_cell(self, cols, rows, sizes):
+        config = SimConfig(grid_cols=cols, grid_rows=rows, team_sizes=sizes,
+                           min_task_separation=1.0)
+        grid = OccupancyGrid(workspace=config.workspace())
+        every_cell = [GridCell(c, r) for r in range(rows) for c in range(cols)]
+        for seed in range(4):
+            for k in sizes:
+                expected = random.Random(trial_seed(seed, k, 0)).sample(every_cell, k)
+                placements, _ = generate_trial(k, config, random.Random(trial_seed(seed, k, 0)))
+                assert [cell_of(p, grid) for _, p in placements] == expected
 
 
 class TestSingleTrials:
@@ -206,13 +222,13 @@ class TestSingleTrials:
 class TestObstacleMaps:
     """Relay and baseline runs on 20x20 maps with 40 random blocked cells."""
 
-    @pytest.fixture(scope="class")
-    def outcomes(self):
-        """(grid, outcome) of every relay and baseline run."""
+    @staticmethod
+    def runs(trials: int, record_trace: bool = False):
+        """(grid, outcome) of the relay and the baseline run of each trial."""
         workspace = Workspace(Point(0.0, 0.0), Point(20.0, 20.0), 20, 20)
         cells = [GridCell(c, r) for r in range(20) for c in range(20)]
         runs = []
-        for i in range(100):
+        for i in range(trials):
             rng = random.Random(f"obstacles/{i}")
             grid = OccupancyGrid(workspace=workspace, blocked=frozenset(rng.sample(cells, 40)))
             team = 2 + i % 12
@@ -224,8 +240,27 @@ class TestObstacleMaps:
             diagram = compute_voronoi(placements, workspace)
             for make_plan in (build_relay_plan, single_agent_baseline):
                 plan = make_plan(task, placements, diagram, grid)
-                runs.append((grid, simulate(plan, placements, grid, config, record_trace=True)))
+                out = simulate(plan, placements, grid, config, record_trace=record_trace)
+                runs.append((grid, out))
         return runs
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        return self.runs(100, record_trace=True)
+
+    def test_detour_grids_mask_exactly_their_blocked_cells(self, monkeypatch):
+        built = []
+
+        def recording_grid(*args, **kwargs):
+            built.append(OccupancyGrid(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulation, "OccupancyGrid", recording_grid)
+        self.runs(30)
+        assert len(built) > 10
+        for grid in built:
+            cells = (GridCell(i % grid.cols, i // grid.cols) for i in range(grid.cols * grid.rows))
+            assert grid.blocked_mask == bytes(grid.is_blocked(c) for c in cells)
 
     def test_handoffs_stop_on_free_cells_next_to_the_transfer(self, outcomes):
         handoffs = 0
@@ -354,9 +389,19 @@ def test_config_validation():
     for trials in (0, 2.5):
         with pytest.raises(ValueError):
             SimConfig(trials_per_size=trials)
-    for sizes in ((), (3, 0), (2.7,), ("3",), (True,)):
+    for sizes in ((), (3, 0), (2.7,), ("3",), (True,), (399,), (1, 399)):
         with pytest.raises(ValueError):
             SimConfig(team_sizes=sizes)
+    assert SimConfig(team_sizes=(398,)).team_sizes == (398,)
+    for dims in ({"grid_cols": 0}, {"grid_rows": -1}, {"grid_cols": 2.5}, {"grid_rows": "20"},
+                 {"grid_cols": True}):
+        with pytest.raises(ValueError):
+            SimConfig(**dims)
+    # the area less the pickup's and the drop's cells: 3 x 4 - 2
+    small = {"grid_cols": 3, "grid_rows": 4, "min_task_separation": 1.0}
+    assert SimConfig(team_sizes=(10,), **small).team_sizes == (10,)
+    with pytest.raises(ValueError):
+        SimConfig(team_sizes=(11,), **small)
     for config_type in (RunConfig, SimConfig):
         for fields in (
             {"message_delay": "2"},
