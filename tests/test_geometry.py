@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -16,6 +17,8 @@ from relaysim.errors import (
 from relaysim.geometry import (
     Point,
     SharedEdge,
+    VoronoiCell,
+    VoronoiDiagram,
     Workspace,
     compute_voronoi,
     diagram_from_json,
@@ -25,6 +28,7 @@ from relaysim.geometry import (
     relay_point,
     shared_edge,
 )
+from relaysim.world import GridCell, OccupancyGrid, center_of
 from oracles import minimax_value_ternary, nearest_site_brute
 
 
@@ -83,6 +87,125 @@ class TestComputeVoronoi:
             compute_voronoi([(0, Point(25, 5))], workspace20)
         with pytest.raises(SitesTooClose):
             compute_voronoi([(0, Point(5, 5)), (1, Point(5, 5 + 1e-9))], workspace20)
+
+
+def _grid_centre_sites(rng, n, ws):
+    """n distinct cell centres in sampled order, as the batch places robots."""
+    grid = OccupancyGrid(workspace=ws)
+    cols = ws.grid_cols
+    drawn = rng.sample(range(cols * ws.grid_rows), n)
+    return [(i, center_of(GridCell(k % cols, k // cols), grid)) for i, k in enumerate(drawn)]
+
+
+def _real_sites(rng, n, ws):
+    """n real-valued sites at least 1e-3 apart, strictly inside ws."""
+    lo, hi = ws.min_corner, ws.max_corner
+    sites = []
+    while len(sites) < n:
+        p = Point(rng.uniform(lo.x + 0.5, hi.x - 0.5), rng.uniform(lo.y + 0.5, hi.y - 0.5))
+        if all(dist(p, q) > 1e-3 for _, q in sites):
+            sites.append((len(sites), p))
+    return sites
+
+
+def _diagram_families():
+    """(label, sites, workspace) for the partition digest and the reference
+    comparison: random real-valued sites, grid-centre sites (many co-circular
+    quadruples) on three grids, an off-origin, non-square workspace, and a
+    workspace 1e-13 wide, whose corners are near-duplicate vertices. Every
+    other case lists the sites in shuffled id order, so the clip order
+    differs from the cell order."""
+    rng = random.Random(909)
+    ws20 = Workspace(Point(0.0, 0.0), Point(20.0, 20.0), 20, 20)
+    far = Workspace(Point(-1e6, 3.0), Point(-1e6 + 40.0, 28.0), 40, 25)
+    cases = []
+    for n in range(2, 21):
+        for _ in range(3):
+            cases.append(("real20", _real_sites(rng, n, ws20), ws20))
+    for side, teams, repeats in (
+        (20, (1, 2, 3, 5, 7, 10, 20, 40, 80), 4),
+        (30, (3, 10, 30, 60), 3),
+        (60, (10, 30, 60, 120), 2),
+    ):
+        ws = Workspace(Point(0.0, 0.0), Point(float(side), float(side)), side, side)
+        for n in teams:
+            for _ in range(repeats):
+                cases.append((f"grid{side}", _grid_centre_sites(rng, n, ws), ws))
+    for n in (2, 5, 12, 40):
+        for _ in range(3):
+            cases.append(("far-grid", _grid_centre_sites(rng, n, far), far))
+            cases.append(("far-real", _real_sites(rng, n, far), far))
+    for k, (_, sites, _) in enumerate(cases):
+        if k % 2:
+            rng.shuffle(sites)
+    thin = Workspace(Point(0.0, 0.0), Point(1e-13, 10.0), 1, 10)
+    sites = [(1, Point(5e-14, 7.0)), (0, Point(5e-14, 2.0)), (2, Point(5e-14, 9.5))]
+    cases.append(("thin", sites, thin))
+    return cases
+
+
+def _clip_halfplane_reference(poly, nx, ny, c):
+    """Sutherland-Hodgman clip to n.v >= c, as compute_voronoi did before it
+    skipped half-planes: the reference for the exact-equality test."""
+    out = []
+    m = len(poly)
+    for k in range(m):
+        cur = poly[k]
+        nxt = poly[(k + 1) % m]
+        cur_in = nx * cur.x + ny * cur.y >= c
+        nxt_in = nx * nxt.x + ny * nxt.y >= c
+        if cur_in:
+            out.append(cur)
+        if cur_in != nxt_in:
+            denom = nx * (nxt.x - cur.x) + ny * (nxt.y - cur.y)
+            t = (c - (nx * cur.x + ny * cur.y)) / denom
+            out.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
+    cleaned = []
+    for p in out:
+        if not cleaned or (cleaned[-1].x - p.x) ** 2 + (cleaned[-1].y - p.y) ** 2 > 1e-24:
+            cleaned.append(p)
+    if len(cleaned) >= 2 and (cleaned[0].x - cleaned[-1].x) ** 2 + (
+        cleaned[0].y - cleaned[-1].y
+    ) ** 2 <= 1e-24:
+        cleaned.pop()
+    return cleaned
+
+
+def _voronoi_reference(sites, workspace):
+    """Every cell clipped by every other site's bisector, in the given order."""
+    rect = workspace.corners_ccw()
+    cells = []
+    for sid, si in sorted(sites, key=lambda t: t[0]):
+        poly = rect
+        for sjd, sj in sites:
+            if sjd == sid:
+                continue
+            nx = si.x - sj.x
+            ny = si.y - sj.y
+            c = (si.x * si.x + si.y * si.y - sj.x * sj.x - sj.y * sj.y) / 2.0
+            poly = _clip_halfplane_reference(poly, nx, ny, c)
+            if len(poly) < 3:
+                break
+        cells.append(VoronoiCell(site_id=sid, site=si, vertices=tuple(poly)))
+    return VoronoiDiagram(cells=tuple(cells), workspace=workspace)
+
+
+class TestPartitionPinned:
+    def test_vertices_digest(self):
+        # pins every vertex bit of compute_voronoi, including the sign of zero
+        h = hashlib.sha256()
+        for label, sites, ws in _diagram_families():
+            h.update(f"{label} {len(sites)}|".encode())
+            for cell in compute_voronoi(sites, ws).cells:
+                h.update(f"{cell.site_id}:".encode())
+                h.update(" ".join(f"{v.x!r},{v.y!r}" for v in cell.vertices).encode() + b";")
+        assert h.hexdigest() == (
+            "92839a304bfbea3d3d520820cdf7620ef7ca5d63cde5baaf16bdd941c86cbbe9"
+        )
+
+    def test_matches_all_pairs_reference(self):
+        for label, sites, ws in _diagram_families():
+            assert compute_voronoi(sites, ws) == _voronoi_reference(sites, ws), label
 
 
 class TestLocate:
