@@ -113,29 +113,32 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def _plan_command(
     args: argparse.Namespace,
-) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace]:
-    """Interpret --command on --map and plan its relay chain for --robots."""
+) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace, geometry.VoronoiDiagram]:
+    """Interpret --command on --map and plan its relay chain for --robots;
+    also returns the partition the plan was built on."""
     smap, workspace = _load(args.map, world.load_semantic_map)
     robots = _load_robots(args.robots)
     task = nlu.interpret(args.command, smap, _interpreter_config(args))
     nlu.validate_task(task, workspace)
     diagram = geometry.compute_voronoi(robots, workspace)
     grid = world.OccupancyGrid(workspace=workspace)
-    return planning.build_relay_plan(task, robots, diagram, grid), robots, workspace
+    return planning.build_relay_plan(task, robots, diagram, grid), robots, workspace, diagram
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    plan, robots, workspace = _plan_command(args)
+    plan, robots, workspace, diagram = _plan_command(args)
     _write_or_stdout(planning.plan_to_json(plan, robots, workspace), args.out)
     if args.svg:
-        svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
-        Path(args.svg).write_text(svg, encoding="utf-8")
+        Path(args.svg).write_text(render.render_plan_svg(plan, diagram), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, simulation.RunConfig)
-    plan, robots, workspace = _load_plan(args.plan) if args.plan else _plan_command(args)
+    if args.plan:
+        plan, robots, workspace = _load_plan(args.plan)
+    else:
+        plan, robots, workspace, _ = _plan_command(args)
     grid = world.OccupancyGrid(workspace=workspace)
     outcome = simulation.simulate(plan, robots, grid, config, task_id="cli-run")
     _write_or_stdout(outcome.record.to_json_line() + "\n", args.out)

@@ -42,12 +42,6 @@ def dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def dist_sq(a: Point, b: Point) -> float:
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
 @dataclass(frozen=True)
 class Workspace:
     min_corner: Point
@@ -118,37 +112,75 @@ class SharedEdge:
     p2: Point
 
 
-def _clip_halfplane(poly: list[Point], nx: float, ny: float, c: float) -> list[Point]:
-    """Clip a convex polygon to the half-plane n.v >= c (Sutherland-Hodgman)."""
-    out: list[Point] = []
+# relative margin of compute_voronoi's far-site skip: 2**-40 is 8192 units
+# of roundoff, over 35x what its derivation (in compute_voronoi) needs
+_FAR_MARGIN = 2.0**-40
+# absolute floor of the far-site margin, far above any underflow error
+_FAR_FLOOR = 1e-300
+
+
+def _clip_halfplane(
+    poly: list[tuple[float, float]], nx: float, ny: float, c: float
+) -> list[tuple[float, float]]:
+    """Clip a convex polygon of (x, y) vertices to the half-plane n.v >= c
+    (Sutherland-Hodgman). Each vertex's n.v is computed once and serves as
+    both ends of its two edges."""
+    out: list[tuple[float, float]] = []
     m = len(poly)
+    qx, qy = poly[0]
+    nxt_v = nx * qx + ny * qy
     for k in range(m):
-        cur = poly[k]
-        nxt = poly[(k + 1) % m]
-        cur_in = nx * cur.x + ny * cur.y >= c
-        nxt_in = nx * nxt.x + ny * nxt.y >= c
+        cx, cy = qx, qy
+        cur_v = nxt_v
+        qx, qy = poly[(k + 1) % m]
+        nxt_v = nx * qx + ny * qy
+        cur_in = cur_v >= c
         if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
+            out.append(poly[k])
+        if cur_in != (nxt_v >= c):
             # intersection of edge cur->nxt with the boundary line n.v = c
-            denom = nx * (nxt.x - cur.x) + ny * (nxt.y - cur.y)
-            t = (c - (nx * cur.x + ny * cur.y)) / denom
-            out.append(Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)))
+            denom = nx * (qx - cx) + ny * (qy - cy)
+            t = (c - cur_v) / denom
+            out.append((cx + t * (qx - cx), cy + t * (qy - cy)))
     # drop near-duplicate consecutive vertices produced by clipping
-    cleaned: list[Point] = []
+    cleaned: list[tuple[float, float]] = []
     for p in out:
-        if not cleaned or dist_sq(cleaned[-1], p) > 1e-24:
+        if not cleaned or _dist_sq(cleaned[-1], p) > 1e-24:
             cleaned.append(p)
-    if len(cleaned) >= 2 and dist_sq(cleaned[0], cleaned[-1]) <= 1e-24:
+    if len(cleaned) >= 2 and _dist_sq(cleaned[0], cleaned[-1]) <= 1e-24:
         cleaned.pop()
     return cleaned
+
+
+def _dist_sq(a: tuple[float, float], b: tuple[float, float]) -> float:
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    return dx * dx + dy * dy
+
+
+def _radius_sq(poly: list[tuple[float, float]], sx: float, sy: float) -> float:
+    """Largest squared distance from (sx, sy) to a vertex of poly."""
+    r2 = 0.0
+    for x, y in poly:
+        d2 = (x - sx) * (x - sx) + (y - sy) * (y - sy)
+        if d2 > r2:
+            r2 = d2
+    return r2
 
 
 def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> VoronoiDiagram:
     """Partition the workspace rectangle among sites by half-plane intersection.
 
     Each cell is the rectangle clipped against the bisector half-plane of
-    every other site, so equidistance holds exactly by construction.
+    every other site, in the order given, so equidistance holds exactly by
+    construction. Half-planes that cannot change the polygon are skipped: a
+    clip is skipped only when it would return its polygon unchanged, that is
+    when the polygon came out of an earlier clip (so it holds no consecutive
+    near-duplicate vertices), would not lose a wrapped-around near-duplicate
+    vertex, and passes the clip's test at every vertex. A site farther than
+    twice the cell's radius, plus a rounding margin, passes that test without
+    testing the vertices. The vertices are bit-for-bit those of clipping by
+    every site.
     """
     if not sites:
         raise EmptySites("need at least one site")
@@ -158,26 +190,76 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
     for sid, p in sites:
         if not workspace.contains_strict(p):
             raise SiteOutsideWorkspace(f"site {sid} at ({p.x}, {p.y}) not strictly inside workspace")
-    for a in range(len(sites)):
-        for b in range(a + 1, len(sites)):
-            if dist(sites[a][1], sites[b][1]) < EPS_SITE:
-                raise SitesTooClose(f"sites {sites[a][0]} and {sites[b][0]} closer than {EPS_SITE}")
+    coords = [(sid, p.x, p.y) for sid, p in sites]
+    for a in range(len(coords)):
+        _, ax, ay = coords[a]
+        for b in range(a + 1, len(coords)):
+            _, bx, by = coords[b]
+            if math.hypot(ax - bx, ay - by) < EPS_SITE:
+                raise SitesTooClose(
+                    f"sites {coords[a][0]} and {coords[b][0]} closer than {EPS_SITE}"
+                )
 
-    rect = workspace.corners_ccw()
+    # The far-site skip. The clip keeps v when fl(nx*x + ny*y) >= fl(c).
+    # Exactly, with n = si - sj, c = (|si|^2 - |sj|^2)/2 and r = |v - si|,
+    #   n.v - c = n.(v - si) + |n|^2/2 >= |n|^2/2 - |n| r >= (|n|^2 - 4 r^2)/4,
+    # since the last two differ by (|n|/2 - r)^2. Let M bound |coordinate| of
+    # the workspace corners, so of the sites, and u = 2**-53. The check reads
+    # D = fl(nx^2 + ny^2) and R, the largest fl(dx^2 + dy^2) from si to a
+    # vertex. D is within 4.1u of |n|^2, relative, and |n|^2 <= 8M^2; R is
+    # within 4.2u of max r^2; below, r is the farthest vertex's. A skip needs
+    # D > fl(4R + margin) > 4R, so then r < 1.42M and every vertex coordinate
+    # is below 2.42M. Rounding c costs at most 8u M^2, rounding nx, ny 9.7u M^2
+    # and the dot product 19.4u M^2, so every vertex passes the test once
+    # |n|^2 - 4 r^2 > 4 * 38u M^2. And
+    #   |n|^2 - 4 r^2 >= D (1 - 4.1u) - 4R (1 + 4.2u)
+    #                 >  margin (1 - 5.1u) - 9.3u * 4R >= margin (1 - 5.1u) - 75u M^2,
+    # so a margin of 230u M^2 is enough; 2**-40 M^2 is 8192u M^2. The floor
+    # covers underflow's absolute errors; an overflowing M^2 disables the
+    # skip. Off the origin M grows and the margin with it, so the skip fires
+    # less often there but stays exact.
+    lo, hi = workspace.min_corner, workspace.max_corner
+    big = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y))
+    margin = _FAR_MARGIN * (big * big) + _FAR_FLOOR
+
+    x0, y0, x1, y1 = lo.x, lo.y, hi.x, hi.y
     cells = []
     for sid, si in sorted(sites, key=lambda t: t[0]):
-        poly = rect
-        for sjd, sj in sites:
+        sx = si.x
+        sy = si.y
+        s2 = sx * sx + sy * sy
+        poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]  # as workspace.corners_ccw()
+        # True while a clip that keeps every vertex would return poly as it
+        # is. The rectangle may hold near-duplicate corners, so its first
+        # clip always runs; a clip's output has none.
+        settled = False
+        r2 = -1.0  # _radius_sq(poly), computed when first needed
+        for sjd, tx, ty in coords:
             if sjd == sid:
                 continue
             # keep points closer to si than sj:  (si - sj) . x >= (|si|^2 - |sj|^2)/2
-            nx = si.x - sj.x
-            ny = si.y - sj.y
-            c = (si.x * si.x + si.y * si.y - sj.x * sj.x - sj.y * sj.y) / 2.0
+            nx = sx - tx
+            ny = sy - ty
+            if settled:
+                if r2 < 0.0:
+                    r2 = _radius_sq(poly, sx, sy)
+                if nx * nx + ny * ny > 4.0 * r2 + margin:
+                    continue
+            c = (s2 - tx * tx - ty * ty) / 2.0
+            if settled:
+                for x, y in poly:
+                    if not nx * x + ny * y >= c:
+                        break
+                else:
+                    continue  # every vertex passes: the clip is a no-op
             poly = _clip_halfplane(poly, nx, ny, c)
             if len(poly) < 3:
                 break
-        cells.append(VoronoiCell(site_id=sid, site=si, vertices=tuple(poly)))
+            # the clip would drop a last vertex within 1e-12 of the first
+            settled = _dist_sq(poly[0], poly[-1]) > 1e-24
+            r2 = -1.0
+        vertices = tuple(Point(x, y) for x, y in poly)
+        cells.append(VoronoiCell(site_id=sid, site=si, vertices=vertices))
     return VoronoiDiagram(cells=tuple(cells), workspace=workspace)
 
 

@@ -24,7 +24,7 @@ from .coordination import (
     fsm_step,
 )
 from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
-from .geometry import Point, Workspace, compute_voronoi, dist
+from .geometry import Point, VoronoiDiagram, Workspace, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
 from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
 from .world import GridCell, OccupancyGrid, cell_of, center_of
@@ -437,11 +437,14 @@ def run_trial(
     baseline: bool = False,
     task_id: str = "task",
     record_trace: bool = False,
+    diagram: VoronoiDiagram | None = None,
 ) -> TrialOutcome:
-    """Plan and execute one trial end to end."""
+    """Plan and execute one trial end to end. `diagram`, the placements'
+    partition of the config's workspace, is computed when not given."""
     workspace = config.workspace()
     grid = OccupancyGrid(workspace=workspace)
-    diagram = compute_voronoi(placements, workspace)
+    if diagram is None:
+        diagram = compute_voronoi(placements, workspace)
     if baseline:
         plan = single_agent_baseline(task, placements, diagram, grid)
     else:
@@ -466,9 +469,12 @@ def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[
             rng = random.Random(seed_key)
             placements, task = generate_trial(size, config, rng)
             tid = f"trial-{size}-{i}"
-            outcome = run_trial(placements, task, config, task_id=tid)
+            # one partition per trial, shared by the relay run and its baseline
+            diagram = compute_voronoi(placements, config.workspace())
+            outcome = run_trial(placements, task, config, task_id=tid, diagram=diagram)
             base = run_trial(
-                placements, task, config, baseline=True, task_id=tid + "-baseline"
+                placements, task, config, baseline=True, task_id=tid + "-baseline",
+                diagram=diagram,
             )
             rec = outcome.record
             rec.seed = seed_key

@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from relaysim import simulation
+from relaysim import geometry, simulation
 from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, EXIT_PLANNING, main
 from relaysim.geometry import Point, Workspace, compute_voronoi
 from relaysim.nlu import TaskSpec
@@ -63,6 +63,27 @@ class TestPlan:
         plan, robots, _ = plan_from_json(out.read_text(encoding="utf-8"))
         assert len(plan.transfers) == len(plan.active) - 1
         assert set(plan.active) <= {rid for rid, _ in robots}
+
+    def test_svg_partitions_once(self, map_file, robots_file, tmp_path, monkeypatch):
+        calls = []
+        real = geometry.compute_voronoi
+
+        def counting(robots, workspace):
+            calls.append(robots)
+            return real(robots, workspace)
+
+        out, svg = tmp_path / "plan.json", tmp_path / "plan.svg"
+        monkeypatch.setattr(geometry, "compute_voronoi", counting)
+        code = main(
+            ["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
+             "--out", str(out), "--svg", str(svg)]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        # the SVG is the one `render --plan` draws from its own partition
+        again = tmp_path / "again.svg"
+        assert main(["render", "--plan", str(out), "--svg", str(again)]) == EXIT_OK
+        assert svg.read_bytes() == again.read_bytes()
 
     def test_unknown_zone_exit_code(self, map_file, robots_file, capsys):
         code = main(

@@ -20,6 +20,7 @@ from relaysim.geometry import (
     VoronoiCell,
     VoronoiDiagram,
     Workspace,
+    _clip_halfplane,
     compute_voronoi,
     diagram_from_json,
     diagram_to_json,
@@ -206,6 +207,13 @@ class TestPartitionPinned:
     def test_matches_all_pairs_reference(self):
         for label, sites, ws in _diagram_families():
             assert compute_voronoi(sites, ws) == _voronoi_reference(sites, ws), label
+
+    def test_keep_all_clip_still_pops_a_wrapped_vertex(self):
+        # why compute_voronoi runs every clip while its polygon wraps around
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        assert _clip_halfplane(square, 1.0, 0.0, -5.0) == square
+        wrapped = square + [(4e-13, 0.0)]  # last vertex 4e-13 from the first
+        assert _clip_halfplane(wrapped, 1.0, 0.0, -5.0) == square
 
 
 class TestLocate:

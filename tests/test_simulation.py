@@ -219,6 +219,26 @@ class TestSingleTrials:
         assert kinds == set(leds)
 
 
+class TestGivenDiagram:
+    @pytest.mark.parametrize("message_delay", (0, 2))
+    @pytest.mark.parametrize("baseline", (False, True))
+    def test_runs_like_the_computed_one(self, message_delay, baseline, monkeypatch):
+        cfg = replace(SMALL, message_delay=message_delay)
+        for i in range(6):
+            placements, task = generate_trial(2 + i, cfg, random.Random(f"given/{i}"))
+            diagram = compute_voronoi(placements, cfg.workspace())
+            computed = run_trial(placements, task, cfg, baseline=baseline, record_trace=True)
+            with monkeypatch.context() as m:
+                m.setattr(simulation, "compute_voronoi", None)  # a given diagram is used as is
+                given = run_trial(
+                    placements, task, cfg, baseline=baseline, record_trace=True, diagram=diagram
+                )
+            assert given.record.to_json_line() == computed.record.to_json_line()
+            assert given.plan == computed.plan
+            assert given.messages == computed.messages
+            assert given.trace == computed.trace
+
+
 class TestObstacleMaps:
     """Relay and baseline runs on 20x20 maps with 40 random blocked cells."""
 
@@ -360,6 +380,18 @@ class TestRunBatch:
         assert h.hexdigest() == (
             "8379aa01b845cbc76f3bb6b57a3452be881e40abe39d9ef4c86588e042d08396"
         )
+
+    def test_one_partition_per_trial(self, monkeypatch):
+        calls = []
+        real = simulation.compute_voronoi
+
+        def counting(placements, workspace):
+            calls.append(placements)
+            return real(placements, workspace)
+
+        monkeypatch.setattr(simulation, "compute_voronoi", counting)
+        _, records, _ = run_batch(SMALL)
+        assert len(calls) == len(records) == 20
 
     def test_summarize_rejects_all_failed(self):
         _, records, _ = run_batch(SimConfig(team_sizes=(1,), trials_per_size=2, seed=7))
