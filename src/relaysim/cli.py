@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import geometry, nlu, planning, render, simulation, world
+from . import geometry, nlu, planning, simulation, world
 from .errors import (
     EndpointUnreachable,
     MalformedResponse,
@@ -42,7 +42,10 @@ def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         level_name, logging.ERROR
     )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+    # force: replace the handler of an earlier in-process main(), whose stderr may be stale
+    logging.basicConfig(
+        stream=sys.stderr, level=level, format="%(levelname)s %(message)s", force=True
+    )
 
 
 def _read(path: str) -> str:
@@ -107,6 +110,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     diagram = geometry.compute_voronoi(robots, workspace)
     _write_or_stdout(geometry.diagram_to_json(diagram), args.out)
     if args.svg:
+        from . import render  # imported here: only the SVG outputs draw
+
         Path(args.svg).write_text(render.render_partition_svg(diagram), encoding="utf-8")
     return EXIT_OK
 
@@ -129,6 +134,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     plan, robots, workspace, diagram = _plan_command(args)
     _write_or_stdout(planning.plan_to_json(plan, robots, workspace), args.out)
     if args.svg:
+        from . import render  # imported here: only the SVG outputs draw
+
         Path(args.svg).write_text(render.render_plan_svg(plan, diagram), encoding="utf-8")
     return EXIT_OK
 
@@ -182,6 +189,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import render  # imported here: only the SVG outputs draw
+
     if args.plan:
         plan, robots, workspace = _load_plan(args.plan)
         svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))

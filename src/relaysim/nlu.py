@@ -6,11 +6,8 @@ an external interpreter that speaks a small JSON contract.
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import (
@@ -103,6 +100,11 @@ def _post_json(url: str, payload: dict, timeout: float) -> object:
     Transport failures and timeouts raise EndpointUnreachable; a non-2xx
     status or a body that is not JSON raises MalformedResponse.
     """
+    # imported here: only the external route needs the HTTP stack (ssl, socket, email)
+    import http.client
+    import urllib.error
+    import urllib.request
+
     try:
         request = urllib.request.Request(
             url,

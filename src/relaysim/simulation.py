@@ -11,7 +11,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from statistics import mean, pstdev
 
 from .coordination import (
     EventKind,
@@ -488,6 +487,9 @@ def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[
 
 def summarize(records: list[TrialRecord]) -> BatchSummary:
     """Aggregate per-team-size statistics over completed trials."""
+    # imported here: only the batch path summarizes, so `relaysim run` never loads statistics
+    from statistics import mean, pstdev
+
     by_size: dict[int, list[TrialRecord]] = {}
     for rec in records:
         by_size.setdefault(rec.team_size, []).append(rec)

@@ -1,8 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
 import socket
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,18 @@ from relaysim.world import OccupancyGrid, dump_semantic_map
 from test_nlu import _Handler, mock_endpoint  # noqa: F401  (fixture)
 
 COMMAND = "bring the cup from the kitchen to the bedroom"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str, cwd: Path) -> dict:
+    """Run code in a new interpreter with relaysim on its path; return the
+    JSON object it prints last."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture
@@ -485,3 +502,53 @@ class TestRender:
             svg,
         )
         assert dashed == expected
+
+
+class TestFreshProcess:
+    """What one `relaysim run` process loads and logs, seen from a new interpreter."""
+
+    def test_run_imports_no_http_statistics_or_render(self, tmp_path):
+        # README's map and quick-start team
+        (tmp_path / "map.json").write_text(json.dumps({
+            "zones": {"Kitchen": [2.5, 17.5], "Bedroom": [17.5, 2.5]},
+            "workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20},
+        }))
+        (tmp_path / "robots.json").write_text(json.dumps([[0, 5.5, 10.5], [1, 15.5, 10.5]]))
+        got = _fresh_python("""
+            import sys
+            bare = set(sys.modules)
+            import contextlib, io, json
+            from relaysim import cli
+            argv = ["--command", "bring the box from the kitchen to the bedroom",
+                    "--map", "map.json", "--robots", "robots.json"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                run = cli.main(["run", *argv])
+            after_run = sorted(set(sys.modules) - bare)
+            with contextlib.redirect_stdout(io.StringIO()):
+                plan = cli.main(["plan", *argv, "--svg", "plan.svg"])
+            print(json.dumps({"codes": [run, plan], "after_run": after_run,
+                              "after_plan": sorted(set(sys.modules) - bare)}))
+        """, tmp_path)
+        assert got["codes"] == [EXIT_OK, EXIT_OK]
+        unused = ("http.client", "urllib.request", "ssl", "email", "statistics", "relaysim.render")
+        loaded = [m for m in got["after_run"] if any(m == u or m.startswith(u + ".") for u in unused)]
+        assert loaded == []
+        assert "relaysim.render" in got["after_plan"]
+        assert (tmp_path / "plan.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    def test_each_main_logs_to_its_own_stderr(self, map_file, robots_file, tmp_path):
+        got = _fresh_python(f"""
+            import contextlib, io, json
+            from relaysim import cli
+            argv = ["run", "--command", "fetch it", "--map", {map_file!r},
+                    "--robots", {robots_file!r}]
+            buffers, codes = [], []
+            for _ in range(2):
+                buffers.append(io.StringIO())
+                with contextlib.redirect_stderr(buffers[-1]):
+                    codes.append(cli.main(argv))
+            print(json.dumps({{"codes": codes, "err": [b.getvalue() for b in buffers]}}))
+        """, tmp_path)
+        assert got["codes"] == [EXIT_PARSE, EXIT_PARSE]
+        for err in got["err"]:
+            assert [l.split(" ", 1)[0] for l in err.splitlines()] == ["ERROR", "error:"]

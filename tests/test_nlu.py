@@ -1,4 +1,6 @@
+import http.client
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -132,6 +134,40 @@ def mock_endpoint():
     server.server_close()
 
 
+@pytest.fixture
+def garbage_endpoint():
+    """A raw socket that reads each request and answers with a line that is
+    not an HTTP status line, so urlopen raises BadStatusLine."""
+    server = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def serve():
+        while True:
+            conn, _ = server.accept()
+            if stop.is_set():
+                conn.close()
+                return
+            with conn, conn.makefile("rb") as request:
+                length = 0
+                for line in request:
+                    if line == b"\r\n":
+                        break
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                request.read(length)
+                conn.sendall(b"NOT AN HTTP REPLY\r\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    address = server.getsockname()
+    yield f"http://127.0.0.1:{address[1]}/"
+    stop.set()
+    socket.create_connection(address).close()  # wake the accept
+    thread.join()
+    server.close()
+
+
 class TestInterpretExternal:
     def test_matches_grammar_path(self, five_zone_map, mock_endpoint):
         _Handler.reply = {"pickup": "Kitchen", "drop": "Bedroom", "item": "glass of water"}
@@ -179,6 +215,20 @@ class TestInterpretExternal:
         )
         with pytest.raises(MalformedResponse):
             interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
+
+    def test_bad_status_line_without_fallback_raises(self, five_zone_map, garbage_endpoint):
+        cfg = InterpreterConfig(
+            mode="external", endpoint=garbage_endpoint, timeout=2.0, fallback=False
+        )
+        with pytest.raises(EndpointUnreachable) as info:
+            interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
+        # the http.client.HTTPException branch: BadStatusLine is not an OSError
+        assert isinstance(info.value.__cause__, http.client.BadStatusLine)
+
+    def test_bad_status_line_falls_back_to_grammar(self, five_zone_map, garbage_endpoint):
+        cfg = InterpreterConfig(mode="external", endpoint=garbage_endpoint, timeout=2.0)
+        text = "bring box from kitchen to bedroom"
+        assert interpret_external(text, five_zone_map, cfg) == parse_command(text, five_zone_map)
 
     def test_external_mode_requires_endpoint(self):
         with pytest.raises(ValueError):
