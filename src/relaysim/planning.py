@@ -106,6 +106,36 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     raise NoPath(f"no path from {start} to {goal}")
 
 
+# Paths already found, by (grid, start, goal) with row-major cell indices.
+# The key holds the grid, so an entry answers only for the grid it was
+# searched on. run_batch keeps one memo per trial.
+RouteMemo = dict[tuple[OccupancyGrid, int, int], GridPath]
+
+
+def memo_astar(
+    search, grid: OccupancyGrid, start: int, goal: int, routes: RouteMemo | None
+) -> GridPath:
+    """`search(grid, start cell, goal cell)`, that is `astar`, for row-major
+    `start` and `goal`: looked up in `routes` first when given, and kept
+    there unless it raises. Each caller passes the `astar` of its own
+    module, so a wrapper set on that module sees the searches it asks for."""
+    key = (grid, start, goal)
+    path = routes.get(key) if routes is not None else None
+    if path is None:
+        cols = grid.cols
+        ends = GridCell(start % cols, start // cols), GridCell(goal % cols, goal // cols)
+        path = search(grid, *ends)
+        if routes is not None:
+            routes[key] = path
+    return path
+
+
+def _cell_index(point: Point, grid: OccupancyGrid) -> int:
+    """Row-major index of the cell that contains the point."""
+    cell = cell_of(point, grid)
+    return cell.row * grid.cols + cell.col
+
+
 def _crossing_midpoint(
     owners: list[int], path: GridPath, grid: OccupancyGrid, next_agent: int, start_idx: int
 ) -> tuple[Point, int]:
@@ -123,11 +153,13 @@ def build_relay_plan(
     robots: list[tuple[int, Point]],
     diagram: VoronoiDiagram,
     grid: OccupancyGrid,
+    routes: RouteMemo | None = None,
 ) -> RelayPlan:
     if not robots:
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
-    path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
+    pickup, drop = _cell_index(task.pickup, grid), _cell_index(task.drop, grid)
+    path = memo_astar(astar, grid, pickup, drop, routes)
     # the Voronoi owner of each path-cell center; the chain is the owners in
     # order of first appearance
     owners = [locate(center_of(cell, grid), diagram) for cell in path.cells]
@@ -162,6 +194,7 @@ def single_agent_baseline(
     robots: list[tuple[int, Point]],
     diagram: VoronoiDiagram,
     grid: OccupancyGrid,
+    routes: RouteMemo | None = None,
 ) -> RelayPlan:
     """Comparison plan: the pickup-region owner performs the whole task alone."""
     if not robots:
@@ -169,8 +202,8 @@ def single_agent_baseline(
     pos = {rid: p for rid, p in robots}
     rid = locate(task.pickup, diagram)
     # validate reachability of both legs up front
-    astar(grid, cell_of(pos[rid], grid), cell_of(task.pickup, grid))
-    astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
+    memo_astar(astar, grid, _cell_index(pos[rid], grid), _cell_index(task.pickup, grid), routes)
+    memo_astar(astar, grid, _cell_index(task.pickup, grid), _cell_index(task.drop, grid), routes)
     return RelayPlan(
         task=task,
         active=(rid,),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .coordination import (
@@ -25,13 +26,21 @@ from .coordination import (
 from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, VoronoiDiagram, Workspace, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
-from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
+from .planning import (
+    RelayPlan,
+    RouteMemo,
+    astar,
+    build_relay_plan,
+    memo_astar,
+    single_agent_baseline,
+)
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
 # ticks a robot waits behind an occupied cell before replanning around it
 _REPLAN_AFTER = 3
 
-_NEIGHBOR_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
+# a transfer's cell, then its neighbours, in the order the router tries them
+_STOP_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _is_int(value: object) -> bool:
@@ -208,31 +217,48 @@ def generate_trial(
 # --- single-trial executor ---------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)  # simulate's state lists find a robot by identity
 class _Robot:
-    """Physical state of one robot. Its FSM owns the leg; simulate caches
-    the cells where the FSM's goal counts as reached after every fsm_step."""
+    """Physical state of one robot, on row-major cell indices. Its FSM owns
+    the leg; simulate caches the cells where the FSM's goal counts as
+    reached after every fsm_step."""
 
     rid: int
-    cell: GridCell
+    cell: int
     fsm: RobotFsm
-    route: list[GridCell] = field(default_factory=list)
+    route: list[int] = field(default_factory=list)  # reversed: the next cell is last
     blocked_ticks: int = 0
     moves: int = 0
-    stops: tuple[GridCell, ...] = ()  # in the order the router tries them
+    stops: tuple[int, ...] = ()  # in the order the router tries them
+
+
+def _rid(robot: _Robot) -> int:
+    return robot.rid
+
+
+def _cell(index: int, cols: int) -> GridCell:
+    return GridCell(index % cols, index // cols)
+
+
+def _index(cell: GridCell, cols: int) -> int:
+    return cell.row * cols + cell.col
 
 
 def _transfer_stops(
-    cell: GridCell, grid: OccupancyGrid, task_cells: frozenset[GridCell]
-) -> tuple[GridCell, ...]:
+    cell: int, grid: OccupancyGrid, task_cells: frozenset[int]
+) -> tuple[int, ...]:
     """A transfer in `cell` is reached on that cell or a neighbour, if it is
     free and neither the pickup's nor the drop's cell."""
-    around = [GridCell(cell.col + dc, cell.row + dr) for dc, dr in _NEIGHBOR_OFFSETS]
-    return tuple(
-        c
-        for c in (cell, *around)
-        if grid.in_bounds(c) and not grid.is_blocked(c) and c not in task_cells
-    )
+    cols, rows, mask = grid.cols, grid.rows, grid.blocked_mask
+    col, row = cell % cols, cell // cols
+    stops = []
+    for dc, dr in _STOP_OFFSETS:
+        c, r = col + dc, row + dr
+        if 0 <= c < cols and 0 <= r < rows:
+            i = r * cols + c
+            if not mask[i] and i not in task_cells:
+                stops.append(i)
+    return tuple(stops)
 
 
 def _build_robots(
@@ -243,10 +269,12 @@ def _build_robots(
 ) -> dict[int, _Robot]:
     task = plan.task
     active = plan.active
+    cols = grid.cols
 
     robots: dict[int, _Robot] = {}
     for rid, pos in placements:
-        robots[rid] = _Robot(rid=rid, cell=cell_of(pos, grid), fsm=RobotFsm(robot_id=rid))
+        cell = _index(cell_of(pos, grid), cols)
+        robots[rid] = _Robot(rid=rid, cell=cell, fsm=RobotFsm(robot_id=rid))
 
     for j, rid in enumerate(active):
         first = j == 0
@@ -267,22 +295,26 @@ def _build_robots(
 def _plan_route(
     robot: _Robot,
     grid: OccupancyGrid,
-    occupied: dict[GridCell, int] | None = None,
-) -> list[GridCell]:
-    """Route to the first of the robot's stops that A* reaches; with
-    `occupied`, around the cells other robots stand on."""
-    extra = frozenset(c for c, rid in (occupied or {}).items() if rid != robot.rid)
+    occupied: dict[int, int] | None = None,
+    routes: RouteMemo | None = None,
+) -> list[int]:
+    """Route to the first of the robot's stops that A* reaches, next step
+    last; with `occupied`, around the cells other robots stand on. `routes`
+    keeps the searches made on `grid`; a detour passes none."""
+    cols = grid.cols
+    extra = {c for c, rid in (occupied or {}).items() if rid != robot.rid}
     work = grid
     if extra:
-        work = OccupancyGrid(workspace=grid.workspace, blocked=grid.blocked | extra)
+        walls = frozenset(_cell(c, cols) for c in extra)
+        work = OccupancyGrid(workspace=grid.workspace, blocked=grid.blocked | walls)
     for target in robot.stops:
         if target in extra:
             continue
         try:
-            path = astar(work, robot.cell, target)
+            path = memo_astar(astar, work, robot.cell, target, routes)
         except (NoPath, BlockedEndpoint):
             continue
-        return list(path.cells[1:])
+        return [c.row * cols + c.col for c in path.cells[:0:-1]]
     return []
 
 
@@ -293,21 +325,27 @@ def simulate(
     config: RunConfig,
     task_id: str = "task",
     record_trace: bool = False,
+    routes: RouteMemo | None = None,
 ) -> TrialOutcome:
     """Run one relay plan to completion, or until the tick budget runs out
-    (config.tick_budget, else 10 * the grid's area)."""
+    (config.tick_budget, else 10 * the grid's area). `routes` memoizes the
+    robots' searches on `grid` (see run_batch)."""
     bus = MessageBus(delay=config.message_delay)
+    cols = grid.cols
     robots = _build_robots(plan, placements, grid, task_id)
     order = sorted(robots)
-    occupied: dict[GridCell, int] = {}
+    occupied: dict[int, int] = {}
+    mask = grid.blocked_mask
     for rid in order:
         cell = robots[rid].cell
         if cell in occupied:
-            raise InvalidStart(f"robots {occupied[cell]} and {rid} start in the same cell {cell}")
-        if grid.is_blocked(cell):
-            raise InvalidStart(f"robot {rid} starts in the blocked cell {cell}")
+            raise InvalidStart(
+                f"robots {occupied[cell]} and {rid} start in the same cell {_cell(cell, cols)}"
+            )
+        if mask[cell]:
+            raise InvalidStart(f"robot {rid} starts in the blocked cell {_cell(cell, cols)}")
         occupied[cell] = rid
-    cells = {p: cell_of(p, grid) for p in plan.legs}
+    cells = {p: _index(cell_of(p, grid), cols) for p in plan.legs}
     task_cells = frozenset((cells[plan.task.pickup], cells[plan.task.drop]))
     transfer_stops = {z: _transfer_stops(cells[z], grid, task_cells) for z in plan.transfers}
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
@@ -315,14 +353,18 @@ def simulate(
     completed = False
     done_tick = 0
     trace: list[TickTrace] | None = [] if record_trace else None
+    # the robots in NAVIGATE and in RELAY by ascending id; only `step` changes
+    # a state, so only `step` changes them
+    navigating: list[_Robot] = []
+    relaying: list[_Robot] = []
 
     def snapshot(tick: int) -> None:
-        if trace is not None:
-            carriers = tuple(r for r in order if robots[r].fsm.carrying is not None)
-            trace.append(TickTrace(tick, carriers, {r: robots[r].cell for r in order}))
+        carriers = tuple(r for r in order if robots[r].fsm.carrying is not None)
+        trace.append(TickTrace(tick, carriers, {r: _cell(robots[r].cell, cols) for r in order}))
 
     def step(rb: _Robot, event: FsmEvent) -> None:
         nonlocal completed
+        before = rb.fsm.state
         rb.fsm, msgs = fsm_step(rb.fsm, event)
         for m in msgs:
             if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
@@ -331,6 +373,16 @@ def simulate(
             else:
                 bus.send(m)
         fsm = rb.fsm
+        state = fsm.state
+        if state is not before:
+            if before is RobotState.NAVIGATE:
+                navigating.remove(rb)
+            elif before is RobotState.RELAY:
+                relaying.remove(rb)
+            if state is RobotState.NAVIGATE:
+                insort(navigating, rb, key=_rid)
+            elif state is RobotState.RELAY:
+                insort(relaying, rb, key=_rid)
         goal = fsm.goal
         if goal is None:
             rb.stops = ()
@@ -350,15 +402,15 @@ def simulate(
                 step(rb, FsmEvent(EventKind.DROP_DONE, tick=tick))
 
     def deliver_messages(tick: int) -> None:
+        # messages wait in the bus until their robot relays at its transfer. A
+        # pass changes only the state of the robot it visits, so the robots
+        # relaying as it starts are those a scan of the whole team would visit
         progress = True
         while progress:
             progress = False
-            for rid in order:
-                rb = robots[rid]
-                if rb.fsm.state is not RobotState.RELAY:
-                    continue  # messages wait in the bus until the robot is at its transfer
-                for msg in bus.poll(rid, tick):
-                    here = center_of(rb.cell, grid)
+            for rb in relaying.copy():
+                for msg in bus.poll(rb.rid, tick):
+                    here = center_of(_cell(rb.cell, cols), grid)
                     step(
                         rb,
                         FsmEvent(EventKind.MESSAGE_RECEIVED, tick=tick, at=here, message=msg),
@@ -370,22 +422,23 @@ def simulate(
     for rid in sorted(plan.active):
         step(robots[rid], FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
         process_arrivals(robots[rid], 0)
-    deliver_messages(0)
-    snapshot(0)
+    if relaying:
+        deliver_messages(0)
+    if trace is not None:
+        snapshot(0)
 
-    fleet = [robots[rid] for rid in order]
     tick = 0
     while not completed and tick < budget:
         tick += 1
-        # only an fsm_step changes a state, and only its own robot's, so the
-        # robots navigating now are the only ones either phase below acts on
-        navigating = [rb for rb in fleet if rb.fsm.state is RobotState.NAVIGATE]
+        # both phases act on the robots navigating as the tick starts; the
+        # arrival phase changes states, so it walks a copy
+        moving = navigating.copy()
         # movement phase: lower ids move first; occupied next cells mean waiting
-        for rb in navigating:
+        for rb in moving:
             if rb.cell in rb.stops:
                 continue
             if not rb.route:
-                rb.route = _plan_route(rb, grid)
+                rb.route = _plan_route(rb, grid, routes=routes)
             if rb.blocked_ticks >= _REPLAN_AFTER:
                 detour = _plan_route(rb, grid, occupied)
                 if detour:
@@ -394,22 +447,24 @@ def simulate(
             if not rb.route:
                 rb.blocked_ticks += 1
                 continue
-            nxt = rb.route[0]
+            nxt = rb.route[-1]
             if nxt in occupied:
                 rb.blocked_ticks += 1
                 continue
             del occupied[rb.cell]
             rb.cell = nxt
             occupied[nxt] = rb.rid
-            rb.route.pop(0)
+            rb.route.pop()
             rb.moves += 1
             rb.blocked_ticks = 0
         # arrival + FSM phase
-        for rb in navigating:
+        for rb in moving:
             process_arrivals(rb, tick)
         # message cascade (delay 0 resolves a full handoff within the tick)
-        deliver_messages(tick)
-        snapshot(tick)
+        if relaying:
+            deliver_messages(tick)
+        if trace is not None:
+            snapshot(tick)
         if completed:
             done_tick = tick
 
@@ -437,18 +492,22 @@ def run_trial(
     task_id: str = "task",
     record_trace: bool = False,
     diagram: VoronoiDiagram | None = None,
+    routes: RouteMemo | None = None,
 ) -> TrialOutcome:
     """Plan and execute one trial end to end. `diagram`, the placements'
-    partition of the config's workspace, is computed when not given."""
+    partition of the config's workspace, is computed when not given;
+    `routes` memoizes the searches made on the trial's grid."""
     workspace = config.workspace()
     grid = OccupancyGrid(workspace=workspace)
     if diagram is None:
         diagram = compute_voronoi(placements, workspace)
     if baseline:
-        plan = single_agent_baseline(task, placements, diagram, grid)
+        plan = single_agent_baseline(task, placements, diagram, grid, routes=routes)
     else:
-        plan = build_relay_plan(task, placements, diagram, grid)
-    return simulate(plan, placements, grid, config, task_id=task_id, record_trace=record_trace)
+        plan = build_relay_plan(task, placements, diagram, grid, routes=routes)
+    return simulate(
+        plan, placements, grid, config, task_id=task_id, record_trace=record_trace, routes=routes
+    )
 
 
 # --- batch harness -----------------------------------------------------------
@@ -468,12 +527,16 @@ def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[
             rng = random.Random(seed_key)
             placements, task = generate_trial(size, config, rng)
             tid = f"trial-{size}-{i}"
-            # one partition per trial, shared by the relay run and its baseline
+            # one partition and one route memo per trial, shared by the relay
+            # run and its baseline, which plan and move on equal grids
             diagram = compute_voronoi(placements, config.workspace())
-            outcome = run_trial(placements, task, config, task_id=tid, diagram=diagram)
+            routes: RouteMemo = {}
+            outcome = run_trial(
+                placements, task, config, task_id=tid, diagram=diagram, routes=routes
+            )
             base = run_trial(
                 placements, task, config, baseline=True, task_id=tid + "-baseline",
-                diagram=diagram,
+                diagram=diagram, routes=routes,
             )
             rec = outcome.record
             rec.seed = seed_key

@@ -39,11 +39,11 @@ class OccupancyGrid:
     def rows(self) -> int:
         return self.workspace.grid_rows
 
-    @property
+    @cached_property
     def cell_width(self) -> float:
         return self.workspace.width / self.cols
 
-    @property
+    @cached_property
     def cell_height(self) -> float:
         return self.workspace.height / self.rows
 

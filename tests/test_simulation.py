@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from relaysim import simulation
-from relaysim.coordination import MessageKind
+from relaysim import planning, simulation
+from relaysim.coordination import EventKind, MessageKind
 from relaysim.errors import InvalidStart, NoCompletedTrials
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
 from relaysim.nlu import TaskSpec
@@ -237,6 +237,157 @@ class TestGivenDiagram:
             assert given.plan == computed.plan
             assert given.messages == computed.messages
             assert given.trace == computed.trace
+
+
+class TestRouteMemo:
+    """run_batch searches each trial's routes through one memo, shared by the
+    relay plan, the baseline plan and both runs."""
+
+    @pytest.mark.parametrize("message_delay", (0, 2))
+    def test_batch_runs_like_fresh_searches(self, message_delay, monkeypatch):
+        """Each run of the batch, relay and baseline, equals the same trial run
+        on the same diagram with every route searched afresh: a cached path
+        that a route pop() had shortened would show here."""
+        cfg = replace(SMALL, message_delay=message_delay)
+        runs = []
+        real = simulation.run_trial
+
+        def keeping(placements, task, config, **kwargs):
+            out = real(placements, task, config, **kwargs)
+            runs.append((placements, task, kwargs, out.record.to_json_line(), out))
+            return out
+
+        monkeypatch.setattr(simulation, "run_trial", keeping)
+        run_batch(cfg)
+        monkeypatch.undo()
+        assert len(runs) == 40
+        memos = [kwargs.pop("routes") for _, _, kwargs, _, _ in runs]
+        # one memo per trial, used by its relay run and its baseline
+        assert all(memos[i] and memos[i] is memos[i + 1] for i in range(0, 40, 2))
+        assert len({id(m) for m in memos}) == 20
+        for placements, task, kwargs, line, out in runs:
+            fresh = run_trial(placements, task, cfg, **kwargs)
+            assert fresh.record.to_json_line() == line
+            assert fresh.plan == out.plan
+            assert fresh.messages == out.messages
+
+    def test_one_search_per_route_per_trial(self, monkeypatch):
+        searches = []  # (trial, layer, grid, start, goal, made inside simulate)
+        trial = [-1]
+        inside = [False]
+        built = []
+        real_generate, real_simulate = simulation.generate_trial, simulation.simulate
+        real_grid = simulation.OccupancyGrid
+
+        def generating(*args):
+            trial[0] += 1
+            return real_generate(*args)
+
+        def simulating(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_simulate(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def building(*args, **kwargs):
+            built.append(real_grid(*args, **kwargs))
+            return built[-1]
+
+        def counting(layer, search):
+            def wrapped(grid, start, goal):
+                searches.append((trial[0], layer, grid, start, goal, inside[0]))
+                return search(grid, start, goal)
+            return wrapped
+
+        monkeypatch.setattr(simulation, "generate_trial", generating)
+        monkeypatch.setattr(simulation, "simulate", simulating)
+        monkeypatch.setattr(simulation, "OccupancyGrid", building)
+        monkeypatch.setattr(planning, "astar", counting("planning", planning.astar))
+        monkeypatch.setattr(simulation, "astar", counting("simulation", simulation.astar))
+        run_batch(SMALL)
+        assert trial[0] == 19
+
+        floor = OccupancyGrid(workspace=SMALL.workspace())
+        own = [(t, start, goal) for t, _, grid, start, goal, _ in searches if grid == floor]
+        assert len(own) == len(set(own))
+        # simulate's searches, memo misses and detours alike, are simulation's
+        for _, layer, _, _, _, in_simulate in searches:
+            assert layer == ("simulation" if in_simulate else "planning")
+        assert any(in_sim and grid == floor for *_, grid, _, _, in_sim in searches)
+        # detours search grids of their own, built through simulation.OccupancyGrid
+        detours = [grid for _, _, grid, _, _, _ in searches if grid != floor]
+        assert detours
+        for grid in detours:
+            assert grid.blocked and any(grid is b for b in built)
+
+
+class TestStateLists:
+    """simulate keeps the robots in NAVIGATE and in RELAY in ascending-id
+    lists. These delay-0 trials change those lists in the middle of a
+    message pass; each pins its message log and the order in which its
+    robots received their messages."""
+
+    @staticmethod
+    def run(key: str, monkeypatch):
+        received = []  # (robot, kind, from, tick) per MessageReceived event
+        real = simulation.fsm_step
+
+        def recording(fsm, event):
+            if event.kind is EventKind.MESSAGE_RECEIVED:
+                msg = event.message
+                received.append((fsm.robot_id, msg.kind.value, msg.from_id, event.tick))
+            return real(fsm, event)
+
+        monkeypatch.setattr(simulation, "fsm_step", recording)
+        team = int(key.split("/")[1])
+        placements, task = generate_trial(team, SMALL, random.Random(key))
+        out = run_trial(placements, task, SMALL)
+        log = [(m.kind.value, m.from_id, m.to_id, m.tick) for m in out.messages]
+        return log, received
+
+    def test_receiver_relays_on_within_the_pass(self, monkeypatch):
+        """Robots 3 and 2 each take the item and, already at their outgoing
+        transfer, send it on in the same tick: RELAY, NAVIGATE, RELAY within
+        one pass. The second pass delivers to 0, 2 and 3, the third to 1 and 2."""
+        log, received = self.run("12345/4/78", monkeypatch)
+        assert log == [
+            ("HandoffReady", 0, 3, 11),
+            ("HandoffAck", 3, 0, 11),
+            ("HandoffReady", 3, 2, 11),
+            ("HandoffAck", 2, 3, 11),
+            ("HandoffReady", 2, 1, 11),
+            ("HandoffAck", 1, 2, 11),
+            ("TaskComplete", 1, 1, 28),
+        ]
+        assert received == [
+            (3, "HandoffReady", 0, 11),
+            (0, "HandoffAck", 3, 11),
+            (2, "HandoffReady", 3, 11),
+            (3, "HandoffAck", 2, 11),
+            (1, "HandoffReady", 2, 11),
+            (2, "HandoffAck", 1, 11),
+        ]
+
+    def test_robots_relay_in_one_pass(self, monkeypatch):
+        """Robot 2 reaches its transfer at tick 13, where robot 1's
+        HandoffReady has waited since tick 8, and sends the item on at once.
+        In the next pass robots 0, 1 and 2 each take a message: robot 0
+        leaves RELAY first, and 1 and 2 must still follow in id order."""
+        log, received = self.run("12345/3/108", monkeypatch)
+        assert log == [
+            ("HandoffReady", 1, 2, 8),
+            ("HandoffAck", 2, 1, 13),
+            ("HandoffReady", 2, 0, 13),
+            ("HandoffAck", 0, 2, 13),
+            ("TaskComplete", 0, 0, 27),
+        ]
+        assert received == [
+            (2, "HandoffReady", 1, 13),
+            (0, "HandoffReady", 2, 13),
+            (1, "HandoffAck", 2, 13),
+            (2, "HandoffAck", 0, 13),
+        ]
 
 
 class TestObstacleMaps:
