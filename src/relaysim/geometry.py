@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -85,11 +86,72 @@ class Workspace:
         ]
 
 
-@dataclass(frozen=True)
 class VoronoiCell:
+    """One site's region, a counter-clockwise convex polygon. A cell from
+    compute_voronoi clips its polygon the first time `vertices` is read and
+    keeps it. Cells are immutable, and compare, hash and print by
+    (site_id, site, vertices), so reading them clips them."""
+
+    __slots__ = ("site_id", "site", "_vertices", "_clip")
+
     site_id: int
     site: Point
-    vertices: tuple[Point, ...]  # counter-clockwise convex polygon
+
+    def __init__(self, site_id: int, site: Point, vertices: tuple[Point, ...]) -> None:
+        _set = object.__setattr__
+        _set(self, "site_id", site_id)
+        _set(self, "site", site)
+        _set(self, "_vertices", vertices)
+        _set(self, "_clip", None)
+
+    @classmethod
+    def _unclipped(
+        cls, site_id: int, site: Point, clip: Callable[[int, Point], tuple[Point, ...]]
+    ) -> VoronoiCell:
+        """A cell whose vertices are `clip(site_id, site)`, run on first read."""
+        cell = cls.__new__(cls)
+        _set = object.__setattr__
+        _set(cell, "site_id", site_id)
+        _set(cell, "site", site)
+        _set(cell, "_vertices", None)
+        _set(cell, "_clip", clip)
+        return cell
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self._clip(self.site_id, self.site)
+            object.__setattr__(self, "_vertices", vertices)
+            object.__setattr__(self, "_clip", None)
+        return vertices
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, Point, tuple[Point, ...]]:
+        return (self.site_id, self.site, self.vertices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"VoronoiCell(site_id={self.site_id!r}, site={self.site!r}, "
+            f"vertices={self.vertices!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        # pickles and copies as a clipped cell
+        return (VoronoiCell, self._key())
 
 
 @dataclass(frozen=True)
@@ -181,6 +243,11 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
     twice the cell's radius, plus a rounding margin, passes that test without
     testing the vertices. The vertices are bit-for-bit those of clipping by
     every site.
+
+    The sites are checked here, but each cell is clipped only the first time
+    its vertices are read. A cell's clip reads nothing but its own site and
+    the site list, so the cells read, and the order they are read in, do not
+    change any vertex.
     """
     if not sites:
         raise EmptySites("need at least one site")
@@ -223,8 +290,8 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
     margin = _FAR_MARGIN * (big * big) + _FAR_FLOOR
 
     x0, y0, x1, y1 = lo.x, lo.y, hi.x, hi.y
-    cells = []
-    for sid, si in sorted(sites, key=lambda t: t[0]):
+
+    def clip(sid: int, si: Point) -> tuple[Point, ...]:
         sx = si.x
         sy = si.y
         s2 = sx * sx + sy * sy
@@ -258,9 +325,12 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
             # the clip would drop a last vertex within 1e-12 of the first
             settled = _dist_sq(poly[0], poly[-1]) > 1e-24
             r2 = -1.0
-        vertices = tuple(Point(x, y) for x, y in poly)
-        cells.append(VoronoiCell(site_id=sid, site=si, vertices=vertices))
-    return VoronoiDiagram(cells=tuple(cells), workspace=workspace)
+        return tuple(Point(x, y) for x, y in poly)
+
+    cells = tuple(
+        VoronoiCell._unclipped(sid, si, clip) for sid, si in sorted(sites, key=lambda t: t[0])
+    )
+    return VoronoiDiagram(cells=cells, workspace=workspace)
 
 
 def locate(point: Point, diagram: VoronoiDiagram) -> int:

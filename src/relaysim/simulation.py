@@ -219,9 +219,9 @@ def generate_trial(
 
 @dataclass(eq=False)  # simulate's state lists find a robot by identity
 class _Robot:
-    """Physical state of one robot, on row-major cell indices. Its FSM owns
-    the leg; simulate caches the cells where the FSM's goal counts as
-    reached after every fsm_step."""
+    """Physical state of one robot of the relay chain, on row-major cell
+    indices. Its FSM owns the leg; simulate caches the cells where the FSM's
+    goal counts as reached after every fsm_step."""
 
     rid: int
     cell: int
@@ -261,25 +261,16 @@ def _transfer_stops(
     return tuple(stops)
 
 
-def _build_robots(
-    plan: RelayPlan,
-    placements: list[tuple[int, Point]],
-    grid: OccupancyGrid,
-    task_id: str,
-) -> dict[int, _Robot]:
+def _build_robots(plan: RelayPlan, starts: dict[int, int], task_id: str) -> dict[int, _Robot]:
+    """A robot, with its leg's FSM, for each robot of the chain; bystanders
+    never act, so they stay start cells."""
     task = plan.task
     active = plan.active
-    cols = grid.cols
-
     robots: dict[int, _Robot] = {}
-    for rid, pos in placements:
-        cell = _index(cell_of(pos, grid), cols)
-        robots[rid] = _Robot(rid=rid, cell=cell, fsm=RobotFsm(robot_id=rid))
-
     for j, rid in enumerate(active):
         first = j == 0
         last = j == len(active) - 1
-        robots[rid].fsm = RobotFsm(
+        fsm = RobotFsm(
             robot_id=rid,
             task_id=task_id,
             item=task.item,
@@ -289,6 +280,7 @@ def _build_robots(
             outgoing_transfer=plan.transfers[j] if not last else None,
             peer_next=active[j + 1] if not last else None,
         )
+        robots[rid] = _Robot(rid=rid, cell=starts[rid], fsm=fsm)
     return robots
 
 
@@ -332,12 +324,14 @@ def simulate(
     robots' searches on `grid` (see run_batch)."""
     bus = MessageBus(delay=config.message_delay)
     cols = grid.cols
-    robots = _build_robots(plan, placements, grid, task_id)
-    order = sorted(robots)
+    # every robot's start cell; only the chain's robots move off theirs
+    starts = {rid: _index(cell_of(pos, grid), cols) for rid, pos in placements}
+    robots = _build_robots(plan, starts, task_id)
+    order = sorted(starts)
     occupied: dict[int, int] = {}
     mask = grid.blocked_mask
     for rid in order:
-        cell = robots[rid].cell
+        cell = starts[rid]
         if cell in occupied:
             raise InvalidStart(
                 f"robots {occupied[cell]} and {rid} start in the same cell {_cell(cell, cols)}"
@@ -359,8 +353,9 @@ def simulate(
     relaying: list[_Robot] = []
 
     def snapshot(tick: int) -> None:
-        carriers = tuple(r for r in order if robots[r].fsm.carrying is not None)
-        trace.append(TickTrace(tick, carriers, {r: _cell(robots[r].cell, cols) for r in order}))
+        carriers = tuple(r for r in sorted(robots) if robots[r].fsm.carrying is not None)
+        positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
+        trace.append(TickTrace(tick, carriers, positions))
 
     def step(rb: _Robot, event: FsmEvent) -> None:
         nonlocal completed

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysim import geometry
 from relaysim.errors import (
     DegenerateEdge,
     DegenerateSites,
@@ -214,6 +215,44 @@ class TestPartitionPinned:
         assert _clip_halfplane(square, 1.0, 0.0, -5.0) == square
         wrapped = square + [(4e-13, 0.0)]  # last vertex 4e-13 from the first
         assert _clip_halfplane(wrapped, 1.0, 0.0, -5.0) == square
+
+
+class TestClipOnRead:
+    def test_cells_read_in_any_order_match_reference(self, monkeypatch):
+        # compute_voronoi clips a cell the first time its vertices are read
+        clips = [0]
+        real = geometry._clip_halfplane
+
+        def counting(poly, nx, ny, c):
+            clips[0] += 1
+            return real(poly, nx, ny, c)
+
+        monkeypatch.setattr(geometry, "_clip_halfplane", counting)
+        rng = random.Random(2718)
+        for label, sites, ws in _diagram_families():
+            reference = _voronoi_reference(sites, ws)
+            ref = {c.site_id: c for c in reference.cells}
+            clips[0] = 0
+            d = compute_voronoi(sites, ws)
+            for sid, p in sites:
+                assert d.cell(sid).site == p
+                assert locate(p, d) == sid
+            locate(ws.min_corner, d)
+            assert clips[0] == 0, label
+            ids = [sid for sid, _ in sites]
+            rng.shuffle(ids)
+            subset = rng.sample(ids, rng.randint(0, len(ids)))
+            read = {}
+            for sid in subset + ids:  # a random subset, then every cell
+                before = clips[0]
+                vertices = d.cell(sid).vertices
+                if sid in read:
+                    assert clips[0] == before and vertices is read[sid], label
+                    continue
+                assert clips[0] > before or len(sites) == 1, label
+                assert vertices == ref[sid].vertices, label
+                read[sid] = vertices
+            assert d == reference, label
 
 
 class TestLocate:

@@ -205,6 +205,22 @@ class TestSingleTrials:
         with pytest.raises(InvalidStart, match="robot 1 starts in the blocked cell"):
             simulate(plan, placements, walled, RunConfig())
 
+    def test_only_the_chain_gets_an_fsm(self, monkeypatch):
+        built = []
+        real = simulation.RobotFsm
+
+        def counting(**kwargs):
+            built.append(kwargs["robot_id"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(simulation, "RobotFsm", counting)
+        for i in range(10):
+            placements, task = generate_trial(10, SMALL, random.Random(f"fsm/{i}"))
+            built.clear()
+            out = run_trial(placements, task, SMALL)
+            assert out.record.completed
+            assert built == list(out.plan.active)  # one FSM per chain robot, bystanders none
+
     @pytest.mark.parametrize("message_delay", [0, 2])
     def test_logged_message_leds_follow_kind(self, message_delay):
         leds = {"HandoffReady": "blue", "HandoffAck": "green", "TaskComplete": "off"}
@@ -543,6 +559,34 @@ class TestRunBatch:
         monkeypatch.setattr(simulation, "compute_voronoi", counting)
         _, records, _ = run_batch(SMALL)
         assert len(calls) == len(records) == 20
+
+    def test_clips_only_the_relay_chain(self, monkeypatch):
+        # a diagram's cell is clipped when its vertices are first read; the
+        # chain's consecutive pairs read their shared edges, and nothing else
+        # reads a vertex
+        def clipped(diagram):
+            return {c.site_id for c in diagram.cells if c._vertices is not None}
+
+        runs = []
+        real = simulation.run_trial
+
+        def recording(placements, task, config, baseline=False, diagram=None, **kwargs):
+            before = clipped(diagram)
+            out = real(placements, task, config, baseline=baseline, diagram=diagram, **kwargs)
+            runs.append((baseline, before, clipped(diagram), out.plan.active))
+            return out
+
+        monkeypatch.setattr(simulation, "run_trial", recording)
+        _, records, _ = run_batch(SMALL)
+        assert len(runs) == 2 * len(records) == 40
+        chains = []
+        for relay, base in zip(runs[::2], runs[1::2]):
+            baseline, before, after, chain = relay
+            assert not baseline and before == set()
+            assert after == (set(chain) if len(chain) >= 2 else set())
+            assert base[0] and base[1] == base[2] == after  # the baseline reads no cell
+            chains.append(len(chain))
+        assert min(chains) == 1 and max(chains) >= 3
 
     def test_summarize_rejects_all_failed(self):
         _, records, _ = run_batch(SimConfig(team_sizes=(1,), trials_per_size=2, seed=7))
