@@ -174,13 +174,6 @@ class SharedEdge:
     p2: Point
 
 
-# relative margin of compute_voronoi's far-site skip: 2**-40 is 8192 units
-# of roundoff, over 35x what its derivation (in compute_voronoi) needs
-_FAR_MARGIN = 2.0**-40
-# absolute floor of the far-site margin, far above any underflow error
-_FAR_FLOOR = 1e-300
-
-
 def _clip_halfplane(
     poly: list[tuple[float, float]], nx: float, ny: float, c: float
 ) -> list[tuple[float, float]]:
@@ -220,16 +213,6 @@ def _dist_sq(a: tuple[float, float], b: tuple[float, float]) -> float:
     return dx * dx + dy * dy
 
 
-def _radius_sq(poly: list[tuple[float, float]], sx: float, sy: float) -> float:
-    """Largest squared distance from (sx, sy) to a vertex of poly."""
-    r2 = 0.0
-    for x, y in poly:
-        d2 = (x - sx) * (x - sx) + (y - sy) * (y - sy)
-        if d2 > r2:
-            r2 = d2
-    return r2
-
-
 def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> VoronoiDiagram:
     """Partition the workspace rectangle among sites by half-plane intersection.
 
@@ -239,10 +222,8 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
     clip is skipped only when it would return its polygon unchanged, that is
     when the polygon came out of an earlier clip (so it holds no consecutive
     near-duplicate vertices), would not lose a wrapped-around near-duplicate
-    vertex, and passes the clip's test at every vertex. A site farther than
-    twice the cell's radius, plus a rounding margin, passes that test without
-    testing the vertices. The vertices are bit-for-bit those of clipping by
-    every site.
+    vertex, and passes the clip's test at every vertex. The vertices are
+    bit-for-bit those of clipping by every site.
 
     The sites are checked here, but each cell is clipped only the first time
     its vertices are read. A cell's clip reads nothing but its own site and
@@ -267,28 +248,7 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
                     f"sites {coords[a][0]} and {coords[b][0]} closer than {EPS_SITE}"
                 )
 
-    # The far-site skip. The clip keeps v when fl(nx*x + ny*y) >= fl(c).
-    # Exactly, with n = si - sj, c = (|si|^2 - |sj|^2)/2 and r = |v - si|,
-    #   n.v - c = n.(v - si) + |n|^2/2 >= |n|^2/2 - |n| r >= (|n|^2 - 4 r^2)/4,
-    # since the last two differ by (|n|/2 - r)^2. Let M bound |coordinate| of
-    # the workspace corners, so of the sites, and u = 2**-53. The check reads
-    # D = fl(nx^2 + ny^2) and R, the largest fl(dx^2 + dy^2) from si to a
-    # vertex. D is within 4.1u of |n|^2, relative, and |n|^2 <= 8M^2; R is
-    # within 4.2u of max r^2; below, r is the farthest vertex's. A skip needs
-    # D > fl(4R + margin) > 4R, so then r < 1.42M and every vertex coordinate
-    # is below 2.42M. Rounding c costs at most 8u M^2, rounding nx, ny 9.7u M^2
-    # and the dot product 19.4u M^2, so every vertex passes the test once
-    # |n|^2 - 4 r^2 > 4 * 38u M^2. And
-    #   |n|^2 - 4 r^2 >= D (1 - 4.1u) - 4R (1 + 4.2u)
-    #                 >  margin (1 - 5.1u) - 9.3u * 4R >= margin (1 - 5.1u) - 75u M^2,
-    # so a margin of 230u M^2 is enough; 2**-40 M^2 is 8192u M^2. The floor
-    # covers underflow's absolute errors; an overflowing M^2 disables the
-    # skip. Off the origin M grows and the margin with it, so the skip fires
-    # less often there but stays exact.
     lo, hi = workspace.min_corner, workspace.max_corner
-    big = max(abs(lo.x), abs(lo.y), abs(hi.x), abs(hi.y))
-    margin = _FAR_MARGIN * (big * big) + _FAR_FLOOR
-
     x0, y0, x1, y1 = lo.x, lo.y, hi.x, hi.y
 
     def clip(sid: int, si: Point) -> tuple[Point, ...]:
@@ -300,18 +260,12 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
         # is. The rectangle may hold near-duplicate corners, so its first
         # clip always runs; a clip's output has none.
         settled = False
-        r2 = -1.0  # _radius_sq(poly), computed when first needed
         for sjd, tx, ty in coords:
             if sjd == sid:
                 continue
             # keep points closer to si than sj:  (si - sj) . x >= (|si|^2 - |sj|^2)/2
             nx = sx - tx
             ny = sy - ty
-            if settled:
-                if r2 < 0.0:
-                    r2 = _radius_sq(poly, sx, sy)
-                if nx * nx + ny * ny > 4.0 * r2 + margin:
-                    continue
             c = (s2 - tx * tx - ty * ty) / 2.0
             if settled:
                 for x, y in poly:
@@ -324,7 +278,6 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
                 break
             # the clip would drop a last vertex within 1e-12 of the first
             settled = _dist_sq(poly[0], poly[-1]) > 1e-24
-            r2 = -1.0
         return tuple(Point(x, y) for x, y in poly)
 
     cells = tuple(
@@ -487,7 +440,11 @@ def robots_to_list(robots: list[tuple[int, Point]]) -> list[list]:
 
 
 def robots_from_list(data: list) -> list[tuple[int, Point]]:
-    return [(int(rid), Point(float(x), float(y))) for rid, x, y in data]
+    robots = [(int(rid), Point(float(x), float(y))) for rid, x, y in data]
+    ids = [rid for rid, _ in robots]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate robot ids")
+    return robots
 
 
 def diagram_to_json(diagram: VoronoiDiagram) -> str:

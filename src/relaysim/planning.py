@@ -240,4 +240,17 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
         baseline=bool(data["baseline"]),
         transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
     )
-    return plan, robots_from_list(data["robots"]), workspace_from_dict(data["workspace"])
+    robots = robots_from_list(data["robots"])
+    active = plan.active
+    if not active:
+        raise ValueError("empty active chain")
+    if len(set(active)) != len(active):
+        raise ValueError("a robot appears twice in the active chain")
+    missing = set(active) - {rid for rid, _ in robots}
+    if missing:
+        raise ValueError(f"active robots {sorted(missing)} not in robots")
+    if len(plan.transfers) != len(active) - 1:
+        raise ValueError(f"{len(active)} active robots need {len(active) - 1} transfers")
+    if len(plan.transfer_fallback) != len(plan.transfers):
+        raise ValueError("transfer_fallback must have one flag per transfer")
+    return plan, robots, workspace_from_dict(data["workspace"])

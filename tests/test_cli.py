@@ -268,11 +268,48 @@ class TestRunOnAnyMap:
         assert all(0 <= y <= height for y in ys)
 
 
+# Plan-file cases give a function that edits a real plan file's JSON in place.
+def _without_robots(data):
+    del data["robots"]
+
+
+def _duplicate_robot_id(data):
+    data["robots"].append([data["robots"][0][0], 10.5, 3.5])
+
+
+def _unknown_active_id(data):
+    data["active"][-1] = 9
+
+
+def _one_transfer_short(data):
+    del data["transfers"][-1]
+    del data["transfer_fallback"][-1]
+
+
+def _duplicate_active(data):
+    data["active"].append(data["active"][0])
+    data["transfers"].append(data["transfers"][0])
+    data["transfer_fallback"].append(False)
+
+
+def _empty_active(data):
+    data["active"] = []
+    data["transfers"] = []
+    data["transfer_fallback"] = []
+
+
+def _one_fallback_flag_short(data):
+    del data["transfer_fallback"][-1]
+
+
+DUPLICATE_ID_ROBOTS = [[0, 5.5, 14.5], [0, 14.5, 5.5], [2, 10.5, 10.5]]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv,content",
         [
-            (["run", "--plan", "{bad}"], "plan without robots"),
+            (["run", "--plan", "{bad}"], _without_robots),
             (["plan", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
              [[0, 1.5]]),
             (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{robots}",
@@ -295,13 +332,29 @@ class TestMalformedInput:
             (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"],
              {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
+            (["partition", "--map", "{map}", "--robots", "{bad}"], DUPLICATE_ID_ROBOTS),
+            (["plan", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
+             DUPLICATE_ID_ROBOTS),
+            (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
+             DUPLICATE_ID_ROBOTS),
+            (["run", "--plan", "{bad}"], _duplicate_robot_id),
+            (["run", "--plan", "{bad}"], _unknown_active_id),
+            (["run", "--plan", "{bad}"], _one_transfer_short),
+            (["run", "--plan", "{bad}"], _duplicate_active),
+            (["run", "--plan", "{bad}"], _empty_active),
+            (["run", "--plan", "{bad}"], _one_fallback_flag_short),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
              "string-message-delay", "negative-message-delay", "zero-tick-budget",
              "fractional-team-size-batch-config", "zero-grid-cols-batch-config",
              "team-larger-than-grid-batch-config",
-             "map-not-json", "diagram-without-cells"],
+             "map-not-json", "diagram-without-cells",
+             "duplicate-robot-id-partition", "duplicate-robot-id-plan",
+             "duplicate-robot-id-run", "plan-with-duplicate-robot-id",
+             "plan-active-id-not-in-robots", "plan-one-transfer-short",
+             "plan-robot-twice-in-active", "plan-empty-active",
+             "plan-one-fallback-flag-short"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -309,13 +362,17 @@ class TestMalformedInput:
         def run_batch(*args, **kwargs):
             pytest.fail("run_batch ran although its config file is malformed")
 
+        def simulate(*args, **kwargs):
+            pytest.fail("simulate ran although an input file is malformed")
+
         monkeypatch.setattr(simulation, "run_batch", run_batch)
+        monkeypatch.setattr(simulation, "simulate", simulate)
         bad = tmp_path / "bad.json"
-        if content == "plan without robots":
+        if callable(content):
             main(["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
                   "--out", str(bad)])
             data = json.loads(bad.read_text(encoding="utf-8"))
-            del data["robots"]
+            content(data)
             content = data
         text = content if isinstance(content, str) else json.dumps(content)
         bad.write_text(text, encoding="utf-8")

@@ -254,6 +254,29 @@ class TestClipOnRead:
                 read[sid] = vertices
             assert d == reference, label
 
+    def test_settled_clips_that_keep_every_vertex_are_skipped(self, monkeypatch):
+        # the vertex test's skip: no clip past a cell's first returns its
+        # input unchanged, unless the input wraps a near-duplicate vertex
+        calls = []
+        real = geometry._clip_halfplane
+
+        def recording(poly, nx, ny, c):
+            out = real(poly, nx, ny, c)
+            calls.append((list(poly), out))
+            return out
+
+        monkeypatch.setattr(geometry, "_clip_halfplane", recording)
+        for label, sites, ws in _diagram_families():
+            calls.clear()
+            rect = [(v.x, v.y) for v in ws.corners_ccw()]
+            for cell in compute_voronoi(sites, ws).cells:
+                cell.vertices
+            assert calls or len(sites) == 1, label
+            for poly, out in calls:
+                (fx, fy), (lx, ly) = poly[0], poly[-1]
+                settled = (fx - lx) ** 2 + (fy - ly) ** 2 > 1e-24
+                assert out != poly or poly == rect or not settled, label
+
 
 class TestLocate:
     def test_nearest(self, workspace20):
