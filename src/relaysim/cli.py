@@ -90,7 +90,6 @@ def _team_sizes(text: str) -> tuple[int, ...]:
 
 def _interpreter_config(args: argparse.Namespace) -> nlu.InterpreterConfig:
     return nlu.InterpreterConfig(
-        mode=args.interpreter,
         endpoint=args.endpoint,
         timeout=args.timeout,
         fallback=args.fallback == "on",
@@ -202,8 +201,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _add_interpreter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interpreter", choices=("grammar", "external"), default="grammar")
-    p.add_argument("--endpoint", default=None, help="external interpreter URL")
+    p.add_argument("--endpoint", default=None, help="external interpreter URL (omit for the grammar)")
     p.add_argument("--fallback", choices=("on", "off"), default="on")
     p.add_argument("--timeout", type=float, default=5.0)
 

@@ -89,20 +89,16 @@ class Workspace:
 class VoronoiCell:
     """One site's region, a counter-clockwise convex polygon. A cell from
     compute_voronoi clips its polygon the first time `vertices` is read and
-    keeps it. Cells are immutable, and compare, hash and print by
-    (site_id, site, vertices), so reading them clips them."""
+    keeps it. Cells compare and print by (site_id, site, vertices), so
+    comparing or printing a cell clips it."""
 
     __slots__ = ("site_id", "site", "_vertices", "_clip")
 
-    site_id: int
-    site: Point
-
     def __init__(self, site_id: int, site: Point, vertices: tuple[Point, ...]) -> None:
-        _set = object.__setattr__
-        _set(self, "site_id", site_id)
-        _set(self, "site", site)
-        _set(self, "_vertices", vertices)
-        _set(self, "_clip", None)
+        self.site_id = site_id
+        self.site = site
+        self._vertices = vertices
+        self._clip = None
 
     @classmethod
     def _unclipped(
@@ -110,27 +106,19 @@ class VoronoiCell:
     ) -> VoronoiCell:
         """A cell whose vertices are `clip(site_id, site)`, run on first read."""
         cell = cls.__new__(cls)
-        _set = object.__setattr__
-        _set(cell, "site_id", site_id)
-        _set(cell, "site", site)
-        _set(cell, "_vertices", None)
-        _set(cell, "_clip", clip)
+        cell.site_id = site_id
+        cell.site = site
+        cell._vertices = None
+        cell._clip = clip
         return cell
 
     @property
     def vertices(self) -> tuple[Point, ...]:
         vertices = self._vertices
         if vertices is None:
-            vertices = self._clip(self.site_id, self.site)
-            object.__setattr__(self, "_vertices", vertices)
-            object.__setattr__(self, "_clip", None)
+            vertices = self._vertices = self._clip(self.site_id, self.site)
+            self._clip = None
         return vertices
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple[int, Point, tuple[Point, ...]]:
         return (self.site_id, self.site, self.vertices)
@@ -140,18 +128,11 @@ class VoronoiCell:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return (
             f"VoronoiCell(site_id={self.site_id!r}, site={self.site!r}, "
             f"vertices={self.vertices!r})"
         )
-
-    def __reduce__(self) -> tuple:
-        # pickles and copies as a clipped cell
-        return (VoronoiCell, self._key())
 
 
 @dataclass(frozen=True)
@@ -239,14 +220,17 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
         if not workspace.contains_strict(p):
             raise SiteOutsideWorkspace(f"site {sid} at ({p.x}, {p.y}) not strictly inside workspace")
     coords = [(sid, p.x, p.y) for sid, p in sites]
-    for a in range(len(coords)):
-        _, ax, ay = coords[a]
-        for b in range(a + 1, len(coords)):
-            _, bx, by = coords[b]
+    # sorted by x, a site can be too close only to the later sites less than
+    # EPS_SITE further right: hypot(dx, dy) >= |dx| holds in floats too
+    by_x = sorted(coords, key=lambda t: t[1])
+    for a in range(len(by_x)):
+        sa, ax, ay = by_x[a]
+        for b in range(a + 1, len(by_x)):
+            sb, bx, by = by_x[b]
+            if bx - ax >= EPS_SITE:
+                break
             if math.hypot(ax - bx, ay - by) < EPS_SITE:
-                raise SitesTooClose(
-                    f"sites {coords[a][0]} and {coords[b][0]} closer than {EPS_SITE}"
-                )
+                raise SitesTooClose(f"sites {sa} and {sb} closer than {EPS_SITE}")
 
     lo, hi = workspace.min_corner, workspace.max_corner
     x0, y0, x1, y1 = lo.x, lo.y, hi.x, hi.y

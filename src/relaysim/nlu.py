@@ -58,16 +58,9 @@ def task_from_dict(data: dict) -> TaskSpec:
 
 @dataclass(frozen=True)
 class InterpreterConfig:
-    mode: str = "grammar"  # "grammar" | "external"
-    endpoint: str | None = None
+    endpoint: str | None = None  # set: the external route; None: the grammar
     timeout: float = 5.0
     fallback: bool = True
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("grammar", "external"):
-            raise ValueError(f"unknown interpreter mode {self.mode!r}")
-        if self.mode == "external" and not self.endpoint:
-            raise ValueError("external mode requires an endpoint")
 
 
 def _strip_article(phrase: str) -> str:
@@ -133,8 +126,8 @@ def interpret_external(
     replies when config.fallback is on; unknown zones are semantic errors
     and always raise.
     """
-    if config.mode != "external":
-        raise ValueError("interpret_external requires mode='external'")
+    if not config.endpoint:
+        raise ValueError("interpret_external requires an endpoint")
     payload = {"command": text, "zones": smap.zone_names()}
     try:
         body = _post_json(config.endpoint, payload, config.timeout)
@@ -156,7 +149,8 @@ def interpret_external(
 
 
 def interpret(text: str, smap: SemanticMap, config: InterpreterConfig) -> TaskSpec:
-    if config.mode == "external":
+    """The external route when config has an endpoint, else the grammar."""
+    if config.endpoint:
         return interpret_external(text, smap, config)
     return parse_command(text, smap)
 

@@ -241,6 +241,13 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
         transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
     )
     robots = robots_from_list(data["robots"])
+    workspace = workspace_from_dict(data["workspace"])
+    points = [("pickup", plan.task.pickup), ("drop", plan.task.drop)]
+    points += [(f"transfer {k}", z) for k, z in enumerate(plan.transfers)]
+    points += [(f"robot {rid}", p) for rid, p in robots]
+    for name, p in points:
+        if not workspace.contains(p):
+            raise ValueError(f"{name} at ({p.x}, {p.y}) outside the workspace")
     active = plan.active
     if not active:
         raise ValueError("empty active chain")
@@ -253,4 +260,4 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
         raise ValueError(f"{len(active)} active robots need {len(active) - 1} transfers")
     if len(plan.transfer_fallback) != len(plan.transfers):
         raise ValueError("transfer_fallback must have one flag per transfer")
-    return plan, robots, workspace_from_dict(data["workspace"])
+    return plan, robots, workspace

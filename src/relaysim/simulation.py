@@ -150,7 +150,6 @@ class SizeStats:
 @dataclass(frozen=True)
 class BatchSummary:
     per_size: dict[int, SizeStats]
-    reduction_vs_baseline: float
     completion_rate: float
 
 
@@ -345,7 +344,6 @@ def simulate(
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     completed = False
-    done_tick = 0
     trace: list[TickTrace] | None = [] if record_trace else None
     # the robots in NAVIGATE and in RELAY by ascending id; only `step` changes
     # a state, so only `step` changes them
@@ -460,8 +458,6 @@ def simulate(
             deliver_messages(tick)
         if trace is not None:
             snapshot(tick)
-        if completed:
-            done_tick = tick
 
     per_agent = {rid: robots[rid].moves for rid in plan.active}
     record = TrialRecord(
@@ -473,7 +469,7 @@ def simulate(
         per_agent_moves=per_agent,
         total_moves=sum(per_agent.values()),
         baseline_total_moves=0,
-        ticks=done_tick if completed else tick,
+        ticks=tick,
         completed=completed,
     )
     return TrialOutcome(record=record, plan=plan, messages=bus.log, trace=trace)
@@ -573,12 +569,10 @@ def summarize(records: list[TrialRecord]) -> BatchSummary:
             mean_active=mean(actives),
             reduction=reduction,
         )
-    largest = max(per_size)
     total_trials = sum(s.trials for s in per_size.values())
     total_done = sum(s.completed for s in per_size.values())
     return BatchSummary(
         per_size=per_size,
-        reduction_vs_baseline=per_size[largest].reduction,
         completion_rate=total_done / total_trials,
     )
 

@@ -302,6 +302,18 @@ def _one_fallback_flag_short(data):
     del data["transfer_fallback"][-1]
 
 
+def _transfer_outside(data):
+    data["transfers"][0] = [500, 500]
+
+
+def _robot_outside(data):
+    data["robots"][0][1:] = [-50, 10.5]
+
+
+def _pickup_outside(data):
+    data["task"]["pickup"] = [-3, 17.5]
+
+
 DUPLICATE_ID_ROBOTS = [[0, 5.5, 14.5], [0, 14.5, 5.5], [2, 10.5, 10.5]]
 
 
@@ -343,6 +355,9 @@ class TestMalformedInput:
             (["run", "--plan", "{bad}"], _duplicate_active),
             (["run", "--plan", "{bad}"], _empty_active),
             (["run", "--plan", "{bad}"], _one_fallback_flag_short),
+            (["run", "--plan", "{bad}"], _transfer_outside),
+            (["run", "--plan", "{bad}"], _robot_outside),
+            (["run", "--plan", "{bad}"], _pickup_outside),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
@@ -354,7 +369,8 @@ class TestMalformedInput:
              "duplicate-robot-id-run", "plan-with-duplicate-robot-id",
              "plan-active-id-not-in-robots", "plan-one-transfer-short",
              "plan-robot-twice-in-active", "plan-empty-active",
-             "plan-one-fallback-flag-short"],
+             "plan-one-fallback-flag-short", "plan-transfer-outside-workspace",
+             "plan-robot-outside-workspace", "plan-pickup-outside-workspace"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -431,7 +447,7 @@ class TestExternalInterpreter:
             port = sock.getsockname()[1]
         code = main(
             ["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
-             "--interpreter", "external", "--endpoint", f"http://127.0.0.1:{port}/",
+             "--endpoint", f"http://127.0.0.1:{port}/",
              "--fallback", "off", "--timeout", "2"]
         )
         assert code == EXIT_OTHER
@@ -440,7 +456,7 @@ class TestExternalInterpreter:
         _Handler.status = 500
         code = main(
             ["plan", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
-             "--interpreter", "external", "--endpoint", mock_endpoint,
+             "--endpoint", mock_endpoint,
              "--fallback", "off", "--timeout", "2"]
         )
         assert code == EXIT_PARSE

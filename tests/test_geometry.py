@@ -89,6 +89,51 @@ class TestComputeVoronoi:
             compute_voronoi([(0, Point(25, 5))], workspace20)
         with pytest.raises(SitesTooClose):
             compute_voronoi([(0, Point(5, 5)), (1, Point(5, 5 + 1e-9))], workspace20)
+        with pytest.raises(ValueError, match="duplicate robot ids"):
+            compute_voronoi([(0, Point(5, 5)), (0, Point(15, 5))], workspace20)
+
+    def test_sites_too_close_matches_all_pairs(self, workspace20):
+        # compute_voronoi compares each site only with its neighbours in x;
+        # it must accept and reject exactly the site sets an all-pairs check does
+        eps = geometry.EPS_SITE
+
+        def too_close(points):
+            return any(
+                math.hypot(p.x - q.x, p.y - q.y) < eps
+                for k, p in enumerate(points)
+                for q in points[k + 1:]
+            )
+
+        rng = random.Random(4242)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            points = [Point(rng.uniform(2, 18), rng.uniform(2, 18)) for _ in range(n)]
+            for _ in range(rng.randint(1, 6)):
+                p = rng.choice(points)
+                # just below, at or just above EPS_SITE, or far
+                d = eps * rng.choice((0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 1e6))
+                kind = rng.randrange(4)
+                if kind == 0:  # any direction
+                    angle = rng.uniform(0, 2 * math.pi)
+                    q = Point(p.x + d * math.cos(angle), p.y + d * math.sin(angle))
+                elif kind == 1:  # the same x
+                    q = Point(p.x, p.y + rng.choice((-d, d)))
+                elif kind == 2:  # close in x, far apart in y
+                    q = Point(p.x + rng.choice((-d, d)), rng.uniform(2, 18))
+                else:  # close in y, far apart in x
+                    q = Point(rng.uniform(2, 18), p.y + rng.choice((-d, d)))
+                points.append(q)
+            rng.shuffle(points)
+            sites = list(enumerate(points))
+            want = too_close(points)
+            seen[want] += 1
+            if want:
+                with pytest.raises(SitesTooClose):
+                    compute_voronoi(sites, workspace20)
+            else:
+                compute_voronoi(sites, workspace20)
+        assert min(seen.values()) >= 100, seen
 
 
 def _grid_centre_sites(rng, n, ws):
@@ -253,6 +298,12 @@ class TestClipOnRead:
                 assert vertices == ref[sid].vertices, label
                 read[sid] = vertices
             assert d == reference, label
+
+    def test_repr_of_unread_cell_matches_eager_cell(self):
+        for label, sites, ws in _diagram_families():
+            reference = _voronoi_reference(sites, ws)
+            for cell, ref in zip(compute_voronoi(sites, ws).cells, reference.cells):
+                assert repr(cell) == repr(ref), label
 
     def test_settled_clips_that_keep_every_vertex_are_skipped(self, monkeypatch):
         # the vertex test's skip: no clip past a cell's first returns its

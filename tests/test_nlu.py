@@ -171,7 +171,7 @@ def garbage_endpoint():
 class TestInterpretExternal:
     def test_matches_grammar_path(self, five_zone_map, mock_endpoint):
         _Handler.reply = {"pickup": "Kitchen", "drop": "Bedroom", "item": "glass of water"}
-        cfg = InterpreterConfig(mode="external", endpoint=mock_endpoint, timeout=2.0)
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=2.0)
         text = "Bring the glass of water from the kitchen to the bedroom"
         got = interpret_external(text, five_zone_map, cfg)
         want = parse_command(text, five_zone_map)
@@ -183,27 +183,27 @@ class TestInterpretExternal:
 
     def test_timeout_falls_back_to_grammar(self, five_zone_map, mock_endpoint):
         _Handler.delay = 1.0
-        cfg = InterpreterConfig(mode="external", endpoint=mock_endpoint, timeout=0.2)
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=0.2)
         got = interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
         assert got.pickup == Point(2.5, 17.5)
 
     def test_timeout_without_fallback_raises(self, five_zone_map, mock_endpoint):
         _Handler.delay = 1.0
         cfg = InterpreterConfig(
-            mode="external", endpoint=mock_endpoint, timeout=0.2, fallback=False
+            endpoint=mock_endpoint, timeout=0.2, fallback=False
         )
         with pytest.raises(EndpointUnreachable):
             interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
 
     def test_unknown_zone_from_endpoint(self, five_zone_map, mock_endpoint):
         _Handler.reply = {"pickup": "Attic", "drop": "Bedroom", "item": "box"}
-        cfg = InterpreterConfig(mode="external", endpoint=mock_endpoint, timeout=2.0)
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=2.0)
         with pytest.raises(UnknownZone):
             interpret_external("whatever", five_zone_map, cfg)
 
     def test_malformed_reply_falls_back(self, five_zone_map, mock_endpoint):
         _Handler.reply = {"nonsense": True}
-        cfg = InterpreterConfig(mode="external", endpoint=mock_endpoint, timeout=2.0)
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=2.0)
         got = interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
         assert got.item == "box"
 
@@ -211,14 +211,14 @@ class TestInterpretExternal:
         _Handler.status = 500
         _Handler.reply = {"pickup": "Kitchen", "drop": "Bedroom", "item": "box"}
         cfg = InterpreterConfig(
-            mode="external", endpoint=mock_endpoint, timeout=2.0, fallback=False
+            endpoint=mock_endpoint, timeout=2.0, fallback=False
         )
         with pytest.raises(MalformedResponse):
             interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
 
     def test_bad_status_line_without_fallback_raises(self, five_zone_map, garbage_endpoint):
         cfg = InterpreterConfig(
-            mode="external", endpoint=garbage_endpoint, timeout=2.0, fallback=False
+            endpoint=garbage_endpoint, timeout=2.0, fallback=False
         )
         with pytest.raises(EndpointUnreachable) as info:
             interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
@@ -226,13 +226,14 @@ class TestInterpretExternal:
         assert isinstance(info.value.__cause__, http.client.BadStatusLine)
 
     def test_bad_status_line_falls_back_to_grammar(self, five_zone_map, garbage_endpoint):
-        cfg = InterpreterConfig(mode="external", endpoint=garbage_endpoint, timeout=2.0)
+        cfg = InterpreterConfig(endpoint=garbage_endpoint, timeout=2.0)
         text = "bring box from kitchen to bedroom"
         assert interpret_external(text, five_zone_map, cfg) == parse_command(text, five_zone_map)
 
-    def test_external_mode_requires_endpoint(self):
+    def test_external_mode_requires_endpoint(self, five_zone_map):
+        text = "bring box from kitchen to bedroom"
         with pytest.raises(ValueError):
-            InterpreterConfig(mode="external")
+            interpret_external(text, five_zone_map, InterpreterConfig())
 
 
 class TestValidateTask:
