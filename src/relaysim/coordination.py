@@ -204,6 +204,10 @@ class MessageBus:
         q.append((message.tick + self.delay, message))
         self.log.append(message)
 
+    def pending(self) -> bool:
+        """Whether a sent message is still undelivered."""
+        return any(self._queues.values())
+
     def poll(self, robot_id: int, tick: int) -> list[HandoffMessage]:
         """Deliverable messages for robot_id, FIFO, each exactly once."""
         q = self._queues.get(robot_id)

@@ -65,10 +65,10 @@ class Workspace:
         return self.max_corner.y - self.min_corner.y
 
     def contains(self, p: Point) -> bool:
-        """Closed containment test (boundary points count as inside)."""
+        """Half-open test, [min, max) on each axis: the extent the grid's cells tile."""
         return (
-            self.min_corner.x <= p.x <= self.max_corner.x
-            and self.min_corner.y <= p.y <= self.max_corner.y
+            self.min_corner.x <= p.x < self.max_corner.x
+            and self.min_corner.y <= p.y < self.max_corner.y
         )
 
     def contains_strict(self, p: Point) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass, field
 
 from .coordination import (
@@ -84,8 +83,10 @@ class SimConfig(RunConfig):
             raise ValueError("team_sizes must be integers")
         if not all(_is_int(n) and n >= 1 for n in (self.grid_cols, self.grid_rows)):
             raise ValueError("grid_cols and grid_rows must be integers >= 1")
-        diam = math.hypot(self.grid_cols, self.grid_rows)
-        if self.min_task_separation >= diam:
+        sep = self.min_task_separation
+        if isinstance(sep, bool) or not isinstance(sep, (int, float)) or not math.isfinite(sep):
+            raise ValueError("min_task_separation must be a finite number")
+        if sep >= math.hypot(self.grid_cols, self.grid_rows):
             raise ValueError("min_task_separation must be below the grid diameter")
         if not _is_int(self.trials_per_size) or self.trials_per_size < 1:
             raise ValueError("trials_per_size must be an integer >= 1")
@@ -216,7 +217,7 @@ def generate_trial(
 # --- single-trial executor ---------------------------------------------------
 
 
-@dataclass(eq=False)  # simulate's state lists find a robot by identity
+@dataclass
 class _Robot:
     """Physical state of one robot of the relay chain, on row-major cell
     indices. Its FSM owns the leg; simulate caches the cells where the FSM's
@@ -229,10 +230,6 @@ class _Robot:
     blocked_ticks: int = 0
     moves: int = 0
     stops: tuple[int, ...] = ()  # in the order the router tries them
-
-
-def _rid(robot: _Robot) -> int:
-    return robot.rid
 
 
 def _cell(index: int, cols: int) -> GridCell:
@@ -326,6 +323,9 @@ def simulate(
     # every robot's start cell; only the chain's robots move off theirs
     starts = {rid: _index(cell_of(pos, grid), cols) for rid, pos in placements}
     robots = _build_robots(plan, starts, task_id)
+    # the chain by ascending id, the order in which every phase visits it; a
+    # robot has stops only in NAVIGATE, and one without a free stop stays put
+    chain = [robots[rid] for rid in sorted(robots)]
     order = sorted(starts)
     occupied: dict[int, int] = {}
     mask = grid.blocked_mask
@@ -345,19 +345,14 @@ def simulate(
 
     completed = False
     trace: list[TickTrace] | None = [] if record_trace else None
-    # the robots in NAVIGATE and in RELAY by ascending id; only `step` changes
-    # a state, so only `step` changes them
-    navigating: list[_Robot] = []
-    relaying: list[_Robot] = []
 
     def snapshot(tick: int) -> None:
-        carriers = tuple(r for r in sorted(robots) if robots[r].fsm.carrying is not None)
+        carriers = tuple(rb.rid for rb in chain if rb.fsm.carrying is not None)
         positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
         trace.append(TickTrace(tick, carriers, positions))
 
     def step(rb: _Robot, event: FsmEvent) -> None:
         nonlocal completed
-        before = rb.fsm.state
         rb.fsm, msgs = fsm_step(rb.fsm, event)
         for m in msgs:
             if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
@@ -366,16 +361,6 @@ def simulate(
             else:
                 bus.send(m)
         fsm = rb.fsm
-        state = fsm.state
-        if state is not before:
-            if before is RobotState.NAVIGATE:
-                navigating.remove(rb)
-            elif before is RobotState.RELAY:
-                relaying.remove(rb)
-            if state is RobotState.NAVIGATE:
-                insort(navigating, rb, key=_rid)
-            elif state is RobotState.RELAY:
-                insort(relaying, rb, key=_rid)
         goal = fsm.goal
         if goal is None:
             rb.stops = ()
@@ -395,13 +380,13 @@ def simulate(
                 step(rb, FsmEvent(EventKind.DROP_DONE, tick=tick))
 
     def deliver_messages(tick: int) -> None:
-        # messages wait in the bus until their robot relays at its transfer. A
-        # pass changes only the state of the robot it visits, so the robots
-        # relaying as it starts are those a scan of the whole team would visit
+        # messages wait in the bus until their robot relays at its transfer
         progress = True
         while progress:
             progress = False
-            for rb in relaying.copy():
+            for rb in chain:
+                if rb.fsm.state is not RobotState.RELAY:
+                    continue
                 for msg in bus.poll(rb.rid, tick):
                     here = center_of(_cell(rb.cell, cols), grid)
                     step(
@@ -412,10 +397,10 @@ def simulate(
                     progress = True
 
     # tick 0: assign segments, then settle arrivals already satisfied
-    for rid in sorted(plan.active):
-        step(robots[rid], FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
-        process_arrivals(robots[rid], 0)
-    if relaying:
+    for rb in chain:
+        step(rb, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
+        process_arrivals(rb, 0)
+    if bus.pending():
         deliver_messages(0)
     if trace is not None:
         snapshot(0)
@@ -423,12 +408,9 @@ def simulate(
     tick = 0
     while not completed and tick < budget:
         tick += 1
-        # both phases act on the robots navigating as the tick starts; the
-        # arrival phase changes states, so it walks a copy
-        moving = navigating.copy()
         # movement phase: lower ids move first; occupied next cells mean waiting
-        for rb in moving:
-            if rb.cell in rb.stops:
+        for rb in chain:
+            if not rb.stops or rb.cell in rb.stops:
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid, routes=routes)
@@ -451,10 +433,11 @@ def simulate(
             rb.moves += 1
             rb.blocked_ticks = 0
         # arrival + FSM phase
-        for rb in moving:
-            process_arrivals(rb, tick)
+        for rb in chain:
+            if rb.cell in rb.stops:
+                process_arrivals(rb, tick)
         # message cascade (delay 0 resolves a full handoff within the tick)
-        if relaying:
+        if bus.pending():
             deliver_messages(tick)
         if trace is not None:
             snapshot(tick)

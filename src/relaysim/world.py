@@ -65,10 +65,7 @@ class OccupancyGrid:
 def cell_of(point: Point, grid: OccupancyGrid) -> GridCell:
     """Cell whose half-open extent [x, x+w) x [y, y+h) contains the point."""
     ws = grid.workspace
-    if not (
-        ws.min_corner.x <= point.x < ws.max_corner.x
-        and ws.min_corner.y <= point.y < ws.max_corner.y
-    ):
+    if not ws.contains(point):
         raise PointOutsideWorkspace(
             f"({point.x}, {point.y}) outside half-open workspace extent"
         )
@@ -128,7 +125,7 @@ def load_semantic_map(path: str | Path) -> tuple[SemanticMap, Workspace]:
     smap = SemanticMap.from_raw(raw_zones)
     for name, anchor in smap.zones.items():
         if not workspace.contains(anchor):
-            raise PointOutsideWorkspace(f"zone {name!r} anchor outside workspace")
+            raise ValueError(f"zone {name!r} anchor ({anchor.x}, {anchor.y}) outside the workspace")
     return smap, workspace
 
 

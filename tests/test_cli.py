@@ -314,6 +314,20 @@ def _pickup_outside(data):
     data["task"]["pickup"] = [-3, 17.5]
 
 
+# the workspace's extent is half-open, [min, max): its upper edge lies outside
+def _pickup_on_upper_edge(data):
+    data["task"]["pickup"] = [2.5, 20.0]
+
+
+def _robot_on_upper_edge(data):
+    data["robots"][0][1:] = [20.0, 10.5]
+
+
+def _map_with_kitchen_at(x, y):
+    return {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20},
+            "zones": {"kitchen": [x, y], "bedroom": [17.5, 2.5]}}
+
+
 DUPLICATE_ID_ROBOTS = [[0, 5.5, 14.5], [0, 14.5, 5.5], [2, 10.5, 10.5]]
 
 
@@ -358,6 +372,14 @@ class TestMalformedInput:
             (["run", "--plan", "{bad}"], _transfer_outside),
             (["run", "--plan", "{bad}"], _robot_outside),
             (["run", "--plan", "{bad}"], _pickup_outside),
+            (["run", "--plan", "{bad}"], _pickup_on_upper_edge),
+            (["run", "--plan", "{bad}"], _robot_on_upper_edge),
+            (["run", "--command", COMMAND, "--map", "{bad}", "--robots", "{robots}"],
+             _map_with_kitchen_at(20.0, 17.5)),
+            (["run", "--command", COMMAND, "--map", "{bad}", "--robots", "{robots}"],
+             _map_with_kitchen_at(25, 17.5)),
+            (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": math.nan}),
+            (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": True}),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
@@ -370,7 +392,10 @@ class TestMalformedInput:
              "plan-active-id-not-in-robots", "plan-one-transfer-short",
              "plan-robot-twice-in-active", "plan-empty-active",
              "plan-one-fallback-flag-short", "plan-transfer-outside-workspace",
-             "plan-robot-outside-workspace", "plan-pickup-outside-workspace"],
+             "plan-robot-outside-workspace", "plan-pickup-outside-workspace",
+             "plan-pickup-on-upper-edge", "plan-robot-on-upper-edge",
+             "map-anchor-on-upper-edge", "map-anchor-outside-workspace",
+             "nan-task-separation-batch-config", "boolean-task-separation-batch-config"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch

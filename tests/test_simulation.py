@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -339,10 +340,10 @@ class TestRouteMemo:
 
 
 class TestStateLists:
-    """simulate keeps the robots in NAVIGATE and in RELAY in ascending-id
-    lists. These delay-0 trials change those lists in the middle of a
-    message pass; each pins its message log and the order in which its
-    robots received their messages."""
+    """simulate's message pass visits the chain's robots in ascending id and
+    delivers to each one that is relaying. In these delay-0 trials robots
+    enter and leave RELAY in the middle of a pass; each pins its message log
+    and the order in which its robots received their messages."""
 
     @staticmethod
     def run(key: str, monkeypatch):
@@ -611,8 +612,10 @@ def test_trial_seed_is_stable():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(min_task_separation=100.0)
+    for sep in (100.0, math.nan, math.inf, True, "8"):
+        with pytest.raises(ValueError):
+            SimConfig(min_task_separation=sep)
+    assert SimConfig(min_task_separation=8).min_task_separation == 8
     for trials in (0, 2.5):
         with pytest.raises(ValueError):
             SimConfig(trials_per_size=trials)

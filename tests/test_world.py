@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysim.errors import CellOutOfBounds, PointOutsideWorkspace, UnknownZone
-from relaysim.geometry import Point, Workspace, dist
+from relaysim.geometry import Point, Workspace, dist, workspace_to_dict
 from relaysim.world import (
     GridCell,
     OccupancyGrid,
@@ -26,6 +27,16 @@ class TestCellOf:
     def test_max_corner_excluded(self, grid20):
         with pytest.raises(PointOutsideWorkspace):
             cell_of(Point(20, 20), grid20)
+
+    def test_extent_is_the_workspace_half_open_test(self, grid20):
+        ws = grid20.workspace
+        for p in (Point(0, 0), Point(19.75, 0), Point(0, 19.75), Point(20, 5), Point(5, 20)):
+            assert ws.contains(p) == (p.x < 20 and p.y < 20)
+            if ws.contains(p):
+                assert grid20.in_bounds(cell_of(p, grid20))
+            else:
+                with pytest.raises(PointOutsideWorkspace):
+                    cell_of(p, grid20)
 
     def test_round_trip_within_half_diagonal(self, grid20):
         rng = random.Random(1)
@@ -88,6 +99,14 @@ class TestSemanticMap:
         assert smap.zones == five_zone_map.zones
         assert ws == workspace20
         assert dump_semantic_map(smap, ws) == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("anchor", [[20.0, 17.5], [2.5, 20.0], [25, 17.5], [-1, 2.5]])
+    def test_anchor_outside_half_open_extent_names_the_zone(self, anchor, workspace20, tmp_path):
+        path = tmp_path / "map.json"
+        data = {"workspace": workspace_to_dict(workspace20), "zones": {" Kitchen ": anchor}}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="zone 'kitchen'"):
+            load_semantic_map(path)
 
 
 def test_occupancy_file(workspace20, tmp_path):
