@@ -62,8 +62,8 @@ def _load(path: str, decode):
         raise SystemExit(EXIT_PARSE) from exc
 
 
-def _load_robots(path: str) -> list[tuple[int, Point]]:
-    return _load(path, lambda p: geometry.robots_from_list(json.loads(_read(p))))
+def _load_robots(path: str, workspace: Workspace) -> list[tuple[int, Point]]:
+    return _load(path, lambda p: geometry.robots_from_list(json.loads(_read(p)), workspace))
 
 
 def _load_plan(path: str) -> tuple[planning.RelayPlan, list[tuple[int, Point]], Workspace]:
@@ -105,7 +105,7 @@ def _write_or_stdout(text: str, out: str | None) -> None:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     _, workspace = _load(args.map, world.load_semantic_map)
-    robots = _load_robots(args.robots)
+    robots = _load_robots(args.robots, workspace)
     diagram = geometry.compute_voronoi(robots, workspace)
     _write_or_stdout(geometry.diagram_to_json(diagram), args.out)
     if args.svg:
@@ -121,7 +121,7 @@ def _plan_command(
     """Interpret --command on --map and plan its relay chain for --robots;
     also returns the partition the plan was built on."""
     smap, workspace = _load(args.map, world.load_semantic_map)
-    robots = _load_robots(args.robots)
+    robots = _load_robots(args.robots, workspace)
     task = nlu.interpret(args.command, smap, _interpreter_config(args))
     nlu.validate_task(task, workspace)
     diagram = geometry.compute_voronoi(robots, workspace)

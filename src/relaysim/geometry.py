@@ -39,6 +39,10 @@ class Point:
             raise ValueError(f"non-finite point ({self.x}, {self.y})")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -53,8 +57,8 @@ class Workspace:
     def __post_init__(self) -> None:
         if not (self.min_corner.x < self.max_corner.x and self.min_corner.y < self.max_corner.y):
             raise ValueError("min_corner must be strictly below max_corner componentwise")
-        if self.grid_cols < 1 or self.grid_rows < 1:
-            raise ValueError("grid dimensions must be >= 1")
+        if not all(_is_int(n) and n >= 1 for n in (self.grid_cols, self.grid_rows)):
+            raise ValueError("grid dimensions must be integers >= 1")
 
     @property
     def width(self) -> float:
@@ -71,12 +75,6 @@ class Workspace:
             and self.min_corner.y <= p.y < self.max_corner.y
         )
 
-    def contains_strict(self, p: Point) -> bool:
-        return (
-            self.min_corner.x < p.x < self.max_corner.x
-            and self.min_corner.y < p.y < self.max_corner.y
-        )
-
     def corners_ccw(self) -> list[Point]:
         return [
             Point(self.min_corner.x, self.min_corner.y),
@@ -86,65 +84,54 @@ class Workspace:
         ]
 
 
+@dataclass(frozen=True)
 class VoronoiCell:
-    """One site's region, a counter-clockwise convex polygon. A cell from
-    compute_voronoi clips its polygon the first time `vertices` is read and
-    keeps it. Cells compare and print by (site_id, site, vertices), so
-    comparing or printing a cell clips it."""
+    """One site's region, a counter-clockwise convex polygon."""
 
-    __slots__ = ("site_id", "site", "_vertices", "_clip")
+    site_id: int
+    site: Point
+    vertices: tuple[Point, ...]
 
-    def __init__(self, site_id: int, site: Point, vertices: tuple[Point, ...]) -> None:
-        self.site_id = site_id
-        self.site = site
-        self._vertices = vertices
-        self._clip = None
 
-    @classmethod
-    def _unclipped(
-        cls, site_id: int, site: Point, clip: Callable[[int, Point], tuple[Point, ...]]
-    ) -> VoronoiCell:
-        """A cell whose vertices are `clip(site_id, site)`, run on first read."""
-        cell = cls.__new__(cls)
-        cell.site_id = site_id
-        cell.site = site
-        cell._vertices = None
-        cell._clip = clip
+class VoronoiDiagram:
+    """A partition of `workspace` among `sites`, kept sorted by id.
+
+    `clip(site_id, site)` returns a cell's vertices. `cell(site_id)` clips
+    that cell the first time it is read and keeps it; `cells` and `==` read
+    every cell, and `sites` reads none.
+    """
+
+    def __init__(
+        self,
+        sites: list[tuple[int, Point]],
+        workspace: Workspace,
+        clip: Callable[[int, Point], tuple[Point, ...]],
+    ) -> None:
+        self.sites = tuple(sorted(sites, key=lambda t: t[0]))
+        self.workspace = workspace
+        self._clip = clip
+        self._site = dict(self.sites)
+        if len(self._site) != len(self.sites):
+            raise ValueError("duplicate robot ids")
+        self._cells: dict[int, VoronoiCell] = {}
+
+    def cell(self, site_id: int) -> VoronoiCell:
+        cell = self._cells.get(site_id)
+        if cell is None:
+            site = self._site.get(site_id)
+            if site is None:
+                raise UnknownRobotId(f"no cell for robot id {site_id}")
+            cell = self._cells[site_id] = VoronoiCell(site_id, site, self._clip(site_id, site))
         return cell
 
     @property
-    def vertices(self) -> tuple[Point, ...]:
-        vertices = self._vertices
-        if vertices is None:
-            vertices = self._vertices = self._clip(self.site_id, self.site)
-            self._clip = None
-        return vertices
-
-    def _key(self) -> tuple[int, Point, tuple[Point, ...]]:
-        return (self.site_id, self.site, self.vertices)
+    def cells(self) -> tuple[VoronoiCell, ...]:
+        return tuple(self.cell(sid) for sid, _ in self.sites)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, VoronoiDiagram):
             return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"VoronoiCell(site_id={self.site_id!r}, site={self.site!r}, "
-            f"vertices={self.vertices!r})"
-        )
-
-
-@dataclass(frozen=True)
-class VoronoiDiagram:
-    cells: tuple[VoronoiCell, ...]  # sorted by site_id
-    workspace: Workspace
-
-    def cell(self, site_id: int) -> VoronoiCell:
-        for c in self.cells:
-            if c.site_id == site_id:
-                return c
-        raise UnknownRobotId(f"no cell for robot id {site_id}")
+        return self.workspace == other.workspace and self.cells == other.cells
 
 
 @dataclass(frozen=True)
@@ -207,18 +194,15 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
     bit-for-bit those of clipping by every site.
 
     The sites are checked here, but each cell is clipped only the first time
-    its vertices are read. A cell's clip reads nothing but its own site and
+    the diagram reads it. A cell's clip reads nothing but its own site and
     the site list, so the cells read, and the order they are read in, do not
     change any vertex.
     """
     if not sites:
         raise EmptySites("need at least one site")
-    ids = [sid for sid, _ in sites]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate robot ids")
     for sid, p in sites:
-        if not workspace.contains_strict(p):
-            raise SiteOutsideWorkspace(f"site {sid} at ({p.x}, {p.y}) not strictly inside workspace")
+        if not workspace.contains(p):
+            raise SiteOutsideWorkspace(f"site {sid} at ({p.x}, {p.y}) outside the workspace")
     coords = [(sid, p.x, p.y) for sid, p in sites]
     # sorted by x, a site can be too close only to the later sites less than
     # EPS_SITE further right: hypot(dx, dy) >= |dx| holds in floats too
@@ -264,10 +248,7 @@ def compute_voronoi(sites: list[tuple[int, Point]], workspace: Workspace) -> Vor
             settled = _dist_sq(poly[0], poly[-1]) > 1e-24
         return tuple(Point(x, y) for x, y in poly)
 
-    cells = tuple(
-        VoronoiCell._unclipped(sid, si, clip) for sid, si in sorted(sites, key=lambda t: t[0])
-    )
-    return VoronoiDiagram(cells=cells, workspace=workspace)
+    return VoronoiDiagram(sites, workspace, clip)
 
 
 def locate(point: Point, diagram: VoronoiDiagram) -> int:
@@ -278,13 +259,13 @@ def locate(point: Point, diagram: VoronoiDiagram) -> int:
     best = math.inf
     px = point.x
     py = point.y
-    for cell in diagram.cells:  # sorted by id, so strict < keeps the lowest on ties
-        dx = px - cell.site.x
-        dy = py - cell.site.y
+    for sid, site in diagram.sites:  # sorted by id, so strict < keeps the lowest on ties
+        dx = px - site.x
+        dy = py - site.y
         d2 = dx * dx + dy * dy
         if d2 < best:
             best = d2
-            best_id = cell.site_id
+            best_id = sid
     return best_id
 
 
@@ -413,8 +394,8 @@ def workspace_from_dict(data: dict) -> Workspace:
     return Workspace(
         min_corner=point_from_list(data["min"]),
         max_corner=point_from_list(data["max"]),
-        grid_cols=int(data["cols"]),
-        grid_rows=int(data["rows"]),
+        grid_cols=data["cols"],
+        grid_rows=data["rows"],
     )
 
 
@@ -423,10 +404,15 @@ def robots_to_list(robots: list[tuple[int, Point]]) -> list[list]:
     return [[rid, p.x, p.y] for rid, p in robots]
 
 
-def robots_from_list(data: list) -> list[tuple[int, Point]]:
-    robots = [(int(rid), Point(float(x), float(y))) for rid, x, y in data]
-    ids = [rid for rid, _ in robots]
-    if len(set(ids)) != len(ids):
+def robots_from_list(data: list, workspace: Workspace) -> list[tuple[int, Point]]:
+    """Placements with integer ids, distinct and in the workspace."""
+    robots = [(rid, Point(float(x), float(y))) for rid, x, y in data]
+    for rid, p in robots:
+        if not _is_int(rid):
+            raise ValueError(f"robot id {rid!r} is not an integer")
+        if not workspace.contains(p):
+            raise ValueError(f"robot {rid} at ({p.x}, {p.y}) outside the workspace")
+    if len({rid for rid, _ in robots}) != len(robots):
         raise ValueError("duplicate robot ids")
     return robots
 
@@ -447,13 +433,10 @@ def diagram_to_json(diagram: VoronoiDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> VoronoiDiagram:
+    """A stored diagram; its clip returns each cell's stored vertices."""
     data = json.loads(text)
-    cells = tuple(
-        VoronoiCell(
-            site_id=int(c["site_id"]),
-            site=point_from_list(c["site"]),
-            vertices=tuple(point_from_list(v) for v in c["vertices"]),
-        )
-        for c in data["cells"]
-    )
-    return VoronoiDiagram(cells=cells, workspace=workspace_from_dict(data["workspace"]))
+    cells = data["cells"]
+    workspace = workspace_from_dict(data["workspace"])
+    sites = robots_from_list([[c["site_id"], *c["site"]] for c in cells], workspace)
+    vertices = {c["site_id"]: tuple(point_from_list(v) for v in c["vertices"]) for c in cells}
+    return VoronoiDiagram(sites, workspace, lambda sid, _: vertices[sid])

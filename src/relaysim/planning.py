@@ -240,11 +240,10 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
         baseline=bool(data["baseline"]),
         transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
     )
-    robots = robots_from_list(data["robots"])
     workspace = workspace_from_dict(data["workspace"])
+    robots = robots_from_list(data["robots"], workspace)
     points = [("pickup", plan.task.pickup), ("drop", plan.task.drop)]
     points += [(f"transfer {k}", z) for k, z in enumerate(plan.transfers)]
-    points += [(f"robot {rid}", p) for rid, p in robots]
     for name, p in points:
         if not workspace.contains(p):
             raise ValueError(f"{name} at ({p.x}, {p.y}) outside the workspace")

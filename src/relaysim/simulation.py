@@ -23,7 +23,7 @@ from .coordination import (
     fsm_step,
 )
 from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
-from .geometry import Point, VoronoiDiagram, Workspace, compute_voronoi, dist
+from .geometry import Point, Workspace, _is_int, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
 from .planning import (
     RelayPlan,
@@ -40,10 +40,6 @@ _REPLAN_AFTER = 3
 
 # a transfer's cell, then its neighbours, in the order the router tries them
 _STOP_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -465,16 +461,13 @@ def run_trial(
     baseline: bool = False,
     task_id: str = "task",
     record_trace: bool = False,
-    diagram: VoronoiDiagram | None = None,
     routes: RouteMemo | None = None,
 ) -> TrialOutcome:
-    """Plan and execute one trial end to end. `diagram`, the placements'
-    partition of the config's workspace, is computed when not given;
-    `routes` memoizes the searches made on the trial's grid."""
+    """Plan and execute one trial end to end; `routes` memoizes the searches
+    made on the trial's grid."""
     workspace = config.workspace()
     grid = OccupancyGrid(workspace=workspace)
-    if diagram is None:
-        diagram = compute_voronoi(placements, workspace)
+    diagram = compute_voronoi(placements, workspace)
     if baseline:
         plan = single_agent_baseline(task, placements, diagram, grid, routes=routes)
     else:
@@ -501,16 +494,12 @@ def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[
             rng = random.Random(seed_key)
             placements, task = generate_trial(size, config, rng)
             tid = f"trial-{size}-{i}"
-            # one partition and one route memo per trial, shared by the relay
-            # run and its baseline, which plan and move on equal grids
-            diagram = compute_voronoi(placements, config.workspace())
+            # one route memo per trial, shared by the relay run and its
+            # baseline, which plan and move on equal grids
             routes: RouteMemo = {}
-            outcome = run_trial(
-                placements, task, config, task_id=tid, diagram=diagram, routes=routes
-            )
+            outcome = run_trial(placements, task, config, task_id=tid, routes=routes)
             base = run_trial(
-                placements, task, config, baseline=True, task_id=tid + "-baseline",
-                diagram=diagram, routes=routes,
+                placements, task, config, baseline=True, task_id=tid + "-baseline", routes=routes
             )
             rec = outcome.record
             rec.seed = seed_key

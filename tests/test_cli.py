@@ -161,6 +161,18 @@ class TestRun:
         assert kinds.count("HandoffReady") == len(plan.transfers)
         assert kinds.count("HandoffAck") == len(plan.transfers)
 
+    def test_robot_on_the_lower_edge_runs_from_robots_and_plan_alike(self, map_file, tmp_path):
+        # the workspace's extent is half-open, [min, max): its lower edge lies inside
+        robots = tmp_path / "robots.json"
+        robots.write_text(json.dumps([[0, 0.0, 10.5], [1, 15.5, 10.5]]), encoding="utf-8")
+        sources = ["--command", COMMAND, "--map", map_file, "--robots", str(robots)]
+        plan_path, stored, direct = (tmp_path / n for n in ("plan.json", "a.jsonl", "b.jsonl"))
+        assert main(["plan", *sources, "--out", str(plan_path)]) == EXIT_OK
+        assert main(["run", "--plan", str(plan_path), "--out", str(stored)]) == EXIT_OK
+        assert main(["run", *sources, "--out", str(direct)]) == EXIT_OK
+        assert stored.read_bytes() == direct.read_bytes()
+        assert json.loads(stored.read_text(encoding="utf-8"))["completed"] is True
+
     def test_robots_sharing_a_cell_exit_3(self, map_file, tmp_path, capsys):
         robots = tmp_path / "robots.json"
         rows = [[0, 5.2, 10.2], [1, 5.7, 10.7], [2, 15.5, 10.5]]
@@ -323,12 +335,29 @@ def _robot_on_upper_edge(data):
     data["robots"][0][1:] = [20.0, 10.5]
 
 
+def _map(zones=None, **workspace):
+    """The two-zone 20x20 map, with the zones or workspace fields given."""
+    return {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20, **workspace},
+            "zones": zones or {"kitchen": [2.5, 17.5], "bedroom": [17.5, 2.5]}}
+
+
 def _map_with_kitchen_at(x, y):
-    return {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20},
-            "zones": {"kitchen": [x, y], "bedroom": [17.5, 2.5]}}
+    return _map(zones={"kitchen": [x, y], "bedroom": [17.5, 2.5]})
 
 
 DUPLICATE_ID_ROBOTS = [[0, 5.5, 14.5], [0, 14.5, 5.5], [2, 10.5, 10.5]]
+
+# two cells with one site_id, each half of the 20x20 workspace
+DUPLICATE_ID_DIAGRAM = {
+    "workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20},
+    "cells": [
+        {"site_id": 0, "site": [5.5, 10.5], "vertices": [[0, 0], [10, 0], [10, 20], [0, 20]]},
+        {"site_id": 0, "site": [15.5, 10.5], "vertices": [[10, 0], [20, 0], [20, 20], [10, 20]]},
+    ],
+}
+
+RUN_ROBOTS = ["run", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"]
+RUN_MAP = ["run", "--command", COMMAND, "--map", "{bad}", "--robots", "{robots}"]
 
 
 class TestMalformedInput:
@@ -380,6 +409,20 @@ class TestMalformedInput:
              _map_with_kitchen_at(25, 17.5)),
             (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": math.nan}),
             (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": True}),
+            (RUN_ROBOTS, [[0, 20.0, 10.5], [1, 15.5, 10.5]]),
+            (RUN_ROBOTS, [[0, 25, 10.5], [1, 15.5, 10.5]]),
+            (["partition", "--map", "{map}", "--robots", "{bad}"], [[0, 5.5, -0.5]]),
+            (RUN_ROBOTS, [[0.9, 5.5, 10.5], [1.2, 15.5, 10.5]]),
+            (RUN_ROBOTS, [[True, 5.5, 10.5], [2, 15.5, 10.5]]),
+            (RUN_ROBOTS, [[0, math.nan, 10.5], [1, 15.5, 10.5]]),
+            (RUN_MAP, _map(cols=True)),
+            (RUN_MAP, _map(cols=2.5)),
+            (RUN_MAP, _map(cols=0)),
+            (RUN_MAP, _map(min=[20, 0])),
+            (RUN_MAP, _map(zones={"kitchen": [math.nan, 17.5], "bedroom": [17.5, 2.5]})),
+            (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
+                                  "bedroom": [17.5, 2.5]})),
+            (["render", "--diagram", "{bad}", "--svg", "{svg}"], DUPLICATE_ID_DIAGRAM),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
@@ -395,7 +438,12 @@ class TestMalformedInput:
              "plan-robot-outside-workspace", "plan-pickup-outside-workspace",
              "plan-pickup-on-upper-edge", "plan-robot-on-upper-edge",
              "map-anchor-on-upper-edge", "map-anchor-outside-workspace",
-             "nan-task-separation-batch-config", "boolean-task-separation-batch-config"],
+             "nan-task-separation-batch-config", "boolean-task-separation-batch-config",
+             "robot-on-upper-edge", "robot-outside-workspace", "robot-below-lower-edge",
+             "fractional-robot-ids", "boolean-robot-id", "nan-robot-coordinate",
+             "boolean-map-cols", "fractional-map-cols", "zero-map-cols",
+             "map-min-not-below-max", "nan-zone-anchor", "zones-equal-after-normalization",
+             "diagram-with-duplicate-site-id"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -633,6 +681,17 @@ class TestFreshProcess:
         assert loaded == []
         assert "relaysim.render" in got["after_plan"]
         assert (tmp_path / "plan.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    def test_readme_quick_start_prints_one_record(self, tmp_path):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["completed"] is True
 
     def test_each_main_logs_to_its_own_stderr(self, map_file, robots_file, tmp_path):
         got = _fresh_python(f"""

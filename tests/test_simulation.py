@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from relaysim import planning, simulation
+from relaysim import geometry, planning, simulation
 from relaysim.coordination import EventKind, MessageKind
 from relaysim.errors import InvalidStart, NoCompletedTrials
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
@@ -234,26 +234,6 @@ class TestSingleTrials:
                 assert data["status_led"] == leds[data["kind"]]
                 kinds.add(data["kind"])
         assert kinds == set(leds)
-
-
-class TestGivenDiagram:
-    @pytest.mark.parametrize("message_delay", (0, 2))
-    @pytest.mark.parametrize("baseline", (False, True))
-    def test_runs_like_the_computed_one(self, message_delay, baseline, monkeypatch):
-        cfg = replace(SMALL, message_delay=message_delay)
-        for i in range(6):
-            placements, task = generate_trial(2 + i, cfg, random.Random(f"given/{i}"))
-            diagram = compute_voronoi(placements, cfg.workspace())
-            computed = run_trial(placements, task, cfg, baseline=baseline, record_trace=True)
-            with monkeypatch.context() as m:
-                m.setattr(simulation, "compute_voronoi", None)  # a given diagram is used as is
-                given = run_trial(
-                    placements, task, cfg, baseline=baseline, record_trace=True, diagram=diagram
-                )
-            assert given.record.to_json_line() == computed.record.to_json_line()
-            assert given.plan == computed.plan
-            assert given.messages == computed.messages
-            assert given.trace == computed.trace
 
 
 class TestRouteMemo:
@@ -549,43 +529,31 @@ class TestRunBatch:
             "8379aa01b845cbc76f3bb6b57a3452be881e40abe39d9ef4c86588e042d08396"
         )
 
-    def test_one_partition_per_trial(self, monkeypatch):
-        calls = []
-        real = simulation.compute_voronoi
-
-        def counting(placements, workspace):
-            calls.append(placements)
-            return real(placements, workspace)
-
-        monkeypatch.setattr(simulation, "compute_voronoi", counting)
-        _, records, _ = run_batch(SMALL)
-        assert len(calls) == len(records) == 20
-
     def test_clips_only_the_relay_chain(self, monkeypatch):
-        # a diagram's cell is clipped when its vertices are first read; the
-        # chain's consecutive pairs read their shared edges, and nothing else
-        # reads a vertex
-        def clipped(diagram):
-            return {c.site_id for c in diagram.cells if c._vertices is not None}
+        # each run partitions for itself, and its diagram clips a cell when it
+        # first reads it; the chain's consecutive pairs read their shared
+        # edges, and nothing else reads a cell
+        runs = []  # per partition, the ids of the cells it clipped
+        partition = simulation.compute_voronoi
+        make_cell = geometry.VoronoiCell
 
-        runs = []
-        real = simulation.run_trial
+        def recording_partition(placements, workspace):
+            runs.append([])
+            return partition(placements, workspace)
 
-        def recording(placements, task, config, baseline=False, diagram=None, **kwargs):
-            before = clipped(diagram)
-            out = real(placements, task, config, baseline=baseline, diagram=diagram, **kwargs)
-            runs.append((baseline, before, clipped(diagram), out.plan.active))
-            return out
+        def recording_cell(site_id, site, vertices):
+            runs[-1].append(site_id)
+            return make_cell(site_id, site, vertices)
 
-        monkeypatch.setattr(simulation, "run_trial", recording)
-        _, records, _ = run_batch(SMALL)
+        monkeypatch.setattr(simulation, "compute_voronoi", recording_partition)
+        monkeypatch.setattr(geometry, "VoronoiCell", recording_cell)
+        _, records, outcomes = run_batch(SMALL)
         assert len(runs) == 2 * len(records) == 40
         chains = []
-        for relay, base in zip(runs[::2], runs[1::2]):
-            baseline, before, after, chain = relay
-            assert not baseline and before == set()
-            assert after == (set(chain) if len(chain) >= 2 else set())
-            assert base[0] and base[1] == base[2] == after  # the baseline reads no cell
+        for relay, base, outcome in zip(runs[::2], runs[1::2], outcomes):
+            chain = outcome.plan.active
+            assert sorted(relay) == (sorted(chain) if len(chain) >= 2 else [])
+            assert base == []  # the baseline reads no cell
             chains.append(len(chain))
         assert min(chains) == 1 and max(chains) >= 3
 
