@@ -1,9 +1,10 @@
 """Command-line driver tying parsing, planning, simulation, and rendering together.
 
-Exit codes: 0 success, 2 usage, malformed input files, command/zone or
-interpreter-reply failures, 3 planning or geometry failures, 4 execution
-failures, 1 anything else (I/O).
-stdout carries only data; diagnostics go to stderr (level: DELIVER_LOG).
+Each failure prints one `error:` line to stderr and exits with the
+`exit_code` of its error type (`relaysim.errors`): 2 usage, malformed input
+files, command/zone or interpreter-reply failures, 3 planning or geometry
+failures, 4 execution failures; 1 for anything else (I/O); 0 on success.
+stdout carries only data.
 """
 
 from __future__ import annotations
@@ -12,40 +13,13 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
 from . import geometry, nlu, planning, simulation, world
-from .errors import (
-    EndpointUnreachable,
-    MalformedResponse,
-    RelaysimError,
-    SameZone,
-    UnknownZone,
-    UnparsableCommand,
-)
+from .errors import EXIT_OK, EXIT_OTHER, RelaysimError, TrialIncomplete, UsageError
+from .errors import EXIT_EXECUTION, EXIT_PARSE, EXIT_PLANNING  # noqa: F401  (for callers of main)
 from .geometry import Point, Workspace
-
-EXIT_OK = 0
-EXIT_OTHER = 1
-EXIT_PARSE = 2
-EXIT_PLANNING = 3
-EXIT_EXECUTION = 4
-
-log = logging.getLogger("relaysim")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("DELIVER_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        level_name, logging.ERROR
-    )
-    # force: replace the handler of an earlier in-process main(), whose stderr may be stale
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(message)s", force=True
-    )
 
 
 def _read(path: str) -> str:
@@ -53,13 +27,11 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, decode):
-    """decode(path), where a file that does not decode is a usage error:
-    one `error:` line naming the file, then exit 2."""
+    """decode(path), where a file that does not decode is a UsageError naming it."""
     try:
         return decode(path)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {path}: malformed file ({type(exc).__name__}: {exc})", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE) from exc
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
 def _load_robots(path: str, workspace: Workspace) -> list[tuple[int, Point]]:
@@ -70,10 +42,17 @@ def _load_plan(path: str) -> tuple[planning.RelayPlan, list[tuple[int, Point]], 
     return _load(path, lambda p: planning.plan_from_json(_read(p)))
 
 
+def _decode_config(path: str, config_type: type[simulation.RunConfig]) -> simulation.RunConfig:
+    data = json.loads(_read(path))
+    if "seed" in data:
+        raise ValueError("seed is set by `batch --seed`, not by a config file")
+    return config_type.from_dict(data)
+
+
 def _load_config(path: str | None, config_type: type[simulation.RunConfig]) -> simulation.RunConfig:
     if path is None:
         return config_type()
-    return _load(path, lambda p: config_type.from_dict(json.loads(_read(p))))
+    return _load(path, lambda p: _decode_config(p, config_type))
 
 
 def _positive_int(text: str) -> int:
@@ -152,14 +131,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         lines = "".join(m.to_json_line() + "\n" for m in outcome.messages)
         Path(args.messages).write_text(lines, encoding="utf-8")
     if not outcome.record.completed:
-        log.error("trial did not complete within the tick budget")
-        return EXIT_EXECUTION
+        raise TrialIncomplete("trial did not complete within the tick budget")
     return EXIT_OK
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     if args.seed is None:
-        raise UnparsableCommand("batch mode requires an explicit --seed")
+        raise UsageError("batch mode requires an explicit --seed")
     flags = {"seed": args.seed}
     if args.team_sizes is not None:
         flags["team_sizes"] = args.team_sizes
@@ -169,8 +147,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     try:
         config = dataclasses.replace(loaded, **flags)
     except ValueError as exc:  # the flags do not fit the configured grid
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise UsageError(str(exc)) from exc
     with contextlib.ExitStack() as stack:
         # open the outputs first, so a bad path fails before the batch runs
         csv_out, jsonl_out = (
@@ -258,23 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is cmd_run and args.command and not (args.map and args.robots):
         parser.error("run --command requires --map and --robots")
     try:
         return args.func(args)
-    except (UnparsableCommand, UnknownZone, SameZone, MalformedResponse) as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (EndpointUnreachable, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
     except RelaysimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

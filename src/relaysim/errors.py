@@ -1,8 +1,19 @@
-"""Exception hierarchy shared by all relaysim modules."""
+"""Exception hierarchy shared by all relaysim modules.
+
+Each error type carries the exit status `relaysim` returns for it.
+"""
+
+EXIT_OK = 0
+EXIT_OTHER = 1
+EXIT_PARSE = 2
+EXIT_PLANNING = 3
+EXIT_EXECUTION = 4
 
 
 class RelaysimError(Exception):
-    """Base class for all relaysim errors."""
+    """Base class for all relaysim errors; a planning or geometry failure by default."""
+
+    exit_code = EXIT_PLANNING
 
 
 # geometry
@@ -40,24 +51,24 @@ class CellOutOfBounds(RelaysimError):
 
 
 class UnknownZone(RelaysimError):
-    pass
+    exit_code = EXIT_PARSE
 
 
 # nlu
 class UnparsableCommand(RelaysimError):
-    pass
+    exit_code = EXIT_PARSE
 
 
 class SameZone(RelaysimError):
-    pass
+    exit_code = EXIT_PARSE
 
 
 class EndpointUnreachable(RelaysimError):
-    pass
+    exit_code = EXIT_OTHER
 
 
 class MalformedResponse(RelaysimError):
-    pass
+    exit_code = EXIT_PARSE
 
 
 # planning
@@ -85,3 +96,16 @@ class InvalidStart(RelaysimError):
 
 class NoCompletedTrials(RelaysimError):
     pass
+
+
+# cli
+class UsageError(RelaysimError):
+    """A malformed input file, or flags that do not fit the config."""
+
+    exit_code = EXIT_PARSE
+
+
+class TrialIncomplete(RelaysimError):
+    """A trial used up its tick budget."""
+
+    exit_code = EXIT_EXECUTION

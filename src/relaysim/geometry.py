@@ -378,7 +378,11 @@ def relay_point(x_i: Point, x_j: Point, edge: SharedEdge) -> tuple[Point, float]
 
 
 def point_from_list(xy: list) -> Point:
-    return Point(float(xy[0]), float(xy[1]))
+    """[x, y], two JSON numbers (not booleans), as floats."""
+    x, y = xy
+    if not all(_is_int(v) or isinstance(v, float) for v in (x, y)):
+        raise ValueError(f"coordinates {xy!r} are not two numbers")
+    return Point(float(x), float(y))
 
 
 def workspace_to_dict(ws: Workspace) -> dict:
@@ -406,7 +410,7 @@ def robots_to_list(robots: list[tuple[int, Point]]) -> list[list]:
 
 def robots_from_list(data: list, workspace: Workspace) -> list[tuple[int, Point]]:
     """Placements with integer ids, distinct and in the workspace."""
-    robots = [(rid, Point(float(x), float(y))) for rid, x, y in data]
+    robots = [(rid, point_from_list(xy)) for rid, *xy in data]
     for rid, p in robots:
         if not _is_int(rid):
             raise ValueError(f"robot id {rid!r} is not an integer")

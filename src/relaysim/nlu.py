@@ -48,12 +48,15 @@ def task_to_dict(task: TaskSpec) -> dict:
 
 
 def task_from_dict(data: dict) -> TaskSpec:
-    return TaskSpec(
+    task = TaskSpec(
         pickup=point_from_list(data["pickup"]),
         drop=point_from_list(data["drop"]),
         item=data["item"],
         source_text=data["source_text"],
     )
+    if not (isinstance(task.item, str) and isinstance(task.source_text, str)):
+        raise ValueError("item and source_text must be strings")
+    return task
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from .geometry import (
     Point,
     VoronoiDiagram,
     Workspace,
+    _is_int,
     locate,
     point_from_list,
     relay_point,
@@ -235,11 +236,15 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
     data = json.loads(text)
     plan = RelayPlan(
         task=task_from_dict(data["task"]),
-        active=tuple(int(r) for r in data["active"]),
+        active=tuple(data["active"]),
         transfers=tuple(point_from_list(z) for z in data["transfers"]),
-        baseline=bool(data["baseline"]),
-        transfer_fallback=tuple(bool(f) for f in data["transfer_fallback"]),
+        baseline=data["baseline"],
+        transfer_fallback=tuple(data["transfer_fallback"]),
     )
+    if not all(_is_int(r) for r in plan.active):
+        raise ValueError(f"active robot ids {list(plan.active)} are not all integers")
+    if not all(isinstance(f, bool) for f in (plan.baseline, *plan.transfer_fallback)):
+        raise ValueError("baseline and transfer_fallback must be JSON booleans")
     workspace = workspace_from_dict(data["workspace"])
     robots = robots_from_list(data["robots"], workspace)
     points = [("pickup", plan.task.pickup), ("drop", plan.task.drop)]

@@ -186,15 +186,21 @@ class TestRun:
             "error: robots 0 and 1 start in the same cell GridCell(col=5, row=10)"
         ]
 
-    def test_budget_exceeded_exit_code(self, map_file, robots_file, tmp_path):
+    def test_budget_exceeded_exit_code(self, map_file, robots_file, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tick_budget": 1}), encoding="utf-8")
+        rec = tmp_path / "rec.jsonl"
         code = main(
             ["run", "--command", "bring box from kitchen to bedroom",
              "--map", map_file, "--robots", robots_file,
-             "--config", str(cfg), "--out", str(tmp_path / "rec.jsonl")]
+             "--config", str(cfg), "--out", str(rec)]
         )
         assert code == EXIT_EXECUTION
+        # the record is written before the run fails
+        assert json.loads(rec.read_text(encoding="utf-8"))["completed"] is False
+        assert capsys.readouterr().err.splitlines() == [
+            "error: trial did not complete within the tick budget"
+        ]
 
 
 # Maps that are not the 20x20 unit-cell default, each with a team that
@@ -335,6 +341,30 @@ def _robot_on_upper_edge(data):
     data["robots"][0][1:] = [20.0, 10.5]
 
 
+def _transfer_not_numbers(data):
+    data["transfers"][0] = ["10", True]
+
+
+def _fractional_active_id(data):
+    data["active"][0] += 0.9
+
+
+def _string_baseline_flag(data):
+    data["baseline"] = "false"
+
+
+def _string_fallback_flag(data):
+    data["transfer_fallback"][0] = "no"
+
+
+def _numeric_item(data):
+    data["task"]["item"] = 5
+
+
+def _list_source_text(data):
+    data["task"]["source_text"] = [COMMAND]
+
+
 def _map(zones=None, **workspace):
     """The two-zone 20x20 map, with the zones or workspace fields given."""
     return {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20, **workspace},
@@ -423,6 +453,16 @@ class TestMalformedInput:
             (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
                                   "bedroom": [17.5, 2.5]})),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"], DUPLICATE_ID_DIAGRAM),
+            (RUN_ROBOTS, [[0, "5.5", 10.5], [1, True, 10.5]]),
+            (RUN_ROBOTS, "[[0, 5.5, 1" + "0" * 400 + "], [1, 15.5, 10.5]]"),
+            (RUN_MAP, _map_with_kitchen_at("2.5", "17.5")),
+            (["run", "--plan", "{bad}"], _transfer_not_numbers),
+            (["run", "--plan", "{bad}"], _fractional_active_id),
+            (["run", "--plan", "{bad}"], _string_baseline_flag),
+            (["run", "--plan", "{bad}"], _string_fallback_flag),
+            (["run", "--plan", "{bad}"], _numeric_item),
+            (["run", "--plan", "{bad}"], _list_source_text),
+            (["batch", "--seed", "3", "--config", "{bad}"], {"seed": 7}),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
@@ -443,7 +483,10 @@ class TestMalformedInput:
              "fractional-robot-ids", "boolean-robot-id", "nan-robot-coordinate",
              "boolean-map-cols", "fractional-map-cols", "zero-map-cols",
              "map-min-not-below-max", "nan-zone-anchor", "zones-equal-after-normalization",
-             "diagram-with-duplicate-site-id"],
+             "diagram-with-duplicate-site-id", "string-and-boolean-robot-coordinates",
+             "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
+             "plan-string-baseline-flag", "plan-string-fallback-flag", "plan-numeric-item",
+             "plan-list-source-text", "seed-in-batch-config"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -468,9 +511,7 @@ class TestMalformedInput:
         capsys.readouterr()
         paths = {"bad": str(bad), "map": map_file, "robots": robots_file,
                  "svg": str(tmp_path / "out.svg")}
-        with pytest.raises(SystemExit) as exc:
-            main([arg.format(**paths) for arg in argv])
-        assert exc.value.code == EXIT_PARSE
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {bad}: ")
@@ -534,6 +575,38 @@ class TestExternalInterpreter:
         )
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "reply,line",
+        [
+            (b"not json", "error: reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ({"pickup": "Kitchen", "drop": "kitchen", "item": "cup"},
+             "error: interpreter returned identical zones 'Kitchen'"),
+        ],
+        ids=["not-json", "one-zone-twice"],
+    )
+    def test_unusable_reply_exits_2_without_fallback(
+        self, reply, line, map_file, robots_file, mock_endpoint, capsys
+    ):
+        _Handler.reply = reply
+        code = main(
+            ["run", "--command", COMMAND, "--map", map_file, "--robots", robots_file,
+             "--endpoint", mock_endpoint, "--fallback", "off", "--timeout", "2"]
+        )
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_reply_that_is_not_json_falls_back_to_the_grammar_record(
+        self, map_file, robots_file, mock_endpoint, tmp_path
+    ):
+        _Handler.reply = b"not json"
+        sources = ["--command", COMMAND, "--map", map_file, "--robots", robots_file]
+        external, grammar = tmp_path / "external.jsonl", tmp_path / "grammar.jsonl"
+        assert main(["run", *sources, "--endpoint", mock_endpoint, "--timeout", "2",
+                     "--out", str(external)]) == EXIT_OK
+        assert main(["run", *sources, "--out", str(grammar)]) == EXIT_OK
+        assert len(_Handler.seen) == 1
+        assert external.read_bytes() == grammar.read_bytes()
+
 
 class TestBatch:
     @pytest.mark.parametrize("flag", ["--out-csv", "--out"])
@@ -559,6 +632,16 @@ class TestBatch:
 
     def test_requires_seed(self, capsys):
         assert main(["batch", "--team-sizes", "1", "--trials", "1"]) == EXIT_PARSE
+
+    def test_placement_exhausted_exits_3(self, tmp_path, capsys):
+        # no two cell centres of a 2x2 grid lie 1.5 apart, so no task can be placed
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid_cols": 2, "grid_rows": 2, "team_sizes": [2],
+                                   "trials_per_size": 1, "min_task_separation": 1.5}))
+        assert main(["batch", "--seed", "1", "--config", str(cfg)]) == EXIT_PLANNING
+        assert capsys.readouterr().err.splitlines() == [
+            "error: could not satisfy task placement constraints"
+        ]
 
     def test_outputs_and_byte_identical_rerun(self, tmp_path, capsys):
         args = [
@@ -676,7 +759,8 @@ class TestFreshProcess:
                               "after_plan": sorted(set(sys.modules) - bare)}))
         """, tmp_path)
         assert got["codes"] == [EXIT_OK, EXIT_OK]
-        unused = ("http.client", "urllib.request", "ssl", "email", "statistics", "relaysim.render")
+        unused = ("http.client", "urllib.request", "ssl", "email", "statistics", "logging",
+                  "relaysim.render")
         loaded = [m for m in got["after_run"] if any(m == u or m.startswith(u + ".") for u in unused)]
         assert loaded == []
         assert "relaysim.render" in got["after_plan"]
@@ -693,7 +777,9 @@ class TestFreshProcess:
         (line,) = proc.stdout.splitlines()
         assert json.loads(line)["completed"] is True
 
-    def test_each_main_logs_to_its_own_stderr(self, map_file, robots_file, tmp_path):
+    def test_each_main_prints_one_error_line_to_its_own_stderr(
+        self, map_file, robots_file, tmp_path
+    ):
         got = _fresh_python(f"""
             import contextlib, io, json
             from relaysim import cli
@@ -708,4 +794,4 @@ class TestFreshProcess:
         """, tmp_path)
         assert got["codes"] == [EXIT_PARSE, EXIT_PARSE]
         for err in got["err"]:
-            assert [l.split(" ", 1)[0] for l in err.splitlines()] == ["ERROR", "error:"]
+            assert [l.split(" ", 1)[0] for l in err.splitlines()] == ["error:"]

@@ -96,7 +96,7 @@ class TestParseCommand:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    reply: dict = {}
+    reply: dict | bytes = {}  # bytes are sent as they are
     status: int = 200
     delay: float = 0.0
     seen: list = []
@@ -108,7 +108,9 @@ class _Handler(BaseHTTPRequestHandler):
         _Handler.seen.append(json.loads(self.rfile.read(length)))
         if _Handler.delay:
             time.sleep(_Handler.delay)
-        body = json.dumps(_Handler.reply).encode()
+        body = _Handler.reply
+        if not isinstance(body, bytes):
+            body = json.dumps(body).encode()
         self.send_response(_Handler.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
