@@ -137,9 +137,11 @@ def interpret_external(
         try:
             pickup_name = body["pickup"]
             drop_name = body["drop"]
-            item = str(body["item"])
+            item = body["item"]
         except (KeyError, TypeError) as exc:
             raise MalformedResponse(f"reply lacks a field: {exc!r}") from exc
+        if not all(isinstance(v, str) for v in (pickup_name, drop_name, item)):
+            raise MalformedResponse("reply's pickup, drop and item must be strings")
     except (EndpointUnreachable, MalformedResponse):
         if config.fallback:
             return parse_command(text, smap)

@@ -56,12 +56,27 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     """Shortest 4-connected path, unit costs, Manhattan heuristic.
 
     Ties broken by (f, h, row-major cell index) so results are deterministic.
+    On a grid with no blocked cell that tie-break always gives one L-shaped
+    path, returned without a search: if the start row is at or below the goal
+    row (start.row <= goal.row), along the start row to the goal column, then
+    along the goal column; otherwise along the start column to the goal row,
+    then along that row.
     """
     for c in (start, goal):
         if not grid.in_bounds(c):
             raise CellOutOfBounds(f"{c} out of bounds")
         if grid.is_blocked(c):
             raise BlockedEndpoint(f"{c} is blocked")
+    if not grid.blocked:
+        (c0, r0), (c1, r1) = (start.col, start.row), (goal.col, goal.row)
+        dc, dr = (1 if c1 >= c0 else -1), (1 if r1 >= r0 else -1)
+        if r0 <= r1:
+            cells = [GridCell(c, r0) for c in range(c0, c1 + dc, dc)]
+            cells += [GridCell(c1, r) for r in range(r0 + dr, r1 + dr, dr)]
+        else:
+            cells = [GridCell(c0, r) for r in range(r0, r1 + dr, dr)]
+            cells += [GridCell(c, r1) for c in range(c0 + dc, c1 + dc, dc)]
+        return GridPath(cells=tuple(cells))
     # the search runs on row-major indices; a heap key packs (f, h, index)
     # into one int, as h < cols + rows and index < size
     cols, rows = grid.cols, grid.rows
@@ -107,36 +122,6 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     raise NoPath(f"no path from {start} to {goal}")
 
 
-# Paths already found, by (grid, start, goal) with row-major cell indices.
-# The key holds the grid, so an entry answers only for the grid it was
-# searched on. run_batch keeps one memo per trial.
-RouteMemo = dict[tuple[OccupancyGrid, int, int], GridPath]
-
-
-def memo_astar(
-    search, grid: OccupancyGrid, start: int, goal: int, routes: RouteMemo | None
-) -> GridPath:
-    """`search(grid, start cell, goal cell)`, that is `astar`, for row-major
-    `start` and `goal`: looked up in `routes` first when given, and kept
-    there unless it raises. Each caller passes the `astar` of its own
-    module, so a wrapper set on that module sees the searches it asks for."""
-    key = (grid, start, goal)
-    path = routes.get(key) if routes is not None else None
-    if path is None:
-        cols = grid.cols
-        ends = GridCell(start % cols, start // cols), GridCell(goal % cols, goal // cols)
-        path = search(grid, *ends)
-        if routes is not None:
-            routes[key] = path
-    return path
-
-
-def _cell_index(point: Point, grid: OccupancyGrid) -> int:
-    """Row-major index of the cell that contains the point."""
-    cell = cell_of(point, grid)
-    return cell.row * grid.cols + cell.col
-
-
 def _crossing_midpoint(
     owners: list[int], path: GridPath, grid: OccupancyGrid, next_agent: int, start_idx: int
 ) -> tuple[Point, int]:
@@ -154,13 +139,11 @@ def build_relay_plan(
     robots: list[tuple[int, Point]],
     diagram: VoronoiDiagram,
     grid: OccupancyGrid,
-    routes: RouteMemo | None = None,
 ) -> RelayPlan:
     if not robots:
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
-    pickup, drop = _cell_index(task.pickup, grid), _cell_index(task.drop, grid)
-    path = memo_astar(astar, grid, pickup, drop, routes)
+    path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
     # the Voronoi owner of each path-cell center; the chain is the owners in
     # order of first appearance
     owners = [locate(center_of(cell, grid), diagram) for cell in path.cells]
@@ -195,7 +178,6 @@ def single_agent_baseline(
     robots: list[tuple[int, Point]],
     diagram: VoronoiDiagram,
     grid: OccupancyGrid,
-    routes: RouteMemo | None = None,
 ) -> RelayPlan:
     """Comparison plan: the pickup-region owner performs the whole task alone."""
     if not robots:
@@ -203,8 +185,8 @@ def single_agent_baseline(
     pos = {rid: p for rid, p in robots}
     rid = locate(task.pickup, diagram)
     # validate reachability of both legs up front
-    memo_astar(astar, grid, _cell_index(pos[rid], grid), _cell_index(task.pickup, grid), routes)
-    memo_astar(astar, grid, _cell_index(task.pickup, grid), _cell_index(task.drop, grid), routes)
+    astar(grid, cell_of(pos[rid], grid), cell_of(task.pickup, grid))
+    astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
     return RelayPlan(
         task=task,
         active=(rid,),

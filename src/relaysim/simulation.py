@@ -25,14 +25,7 @@ from .coordination import (
 from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, Workspace, _is_int, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
-from .planning import (
-    RelayPlan,
-    RouteMemo,
-    astar,
-    build_relay_plan,
-    memo_astar,
-    single_agent_baseline,
-)
+from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
 # ticks a robot waits behind an occupied cell before replanning around it
@@ -277,14 +270,10 @@ def _build_robots(plan: RelayPlan, starts: dict[int, int], task_id: str) -> dict
 
 
 def _plan_route(
-    robot: _Robot,
-    grid: OccupancyGrid,
-    occupied: dict[int, int] | None = None,
-    routes: RouteMemo | None = None,
+    robot: _Robot, grid: OccupancyGrid, occupied: dict[int, int] | None = None
 ) -> list[int]:
     """Route to the first of the robot's stops that A* reaches, next step
-    last; with `occupied`, around the cells other robots stand on. `routes`
-    keeps the searches made on `grid`; a detour passes none."""
+    last; with `occupied`, around the cells other robots stand on."""
     cols = grid.cols
     extra = {c for c, rid in (occupied or {}).items() if rid != robot.rid}
     work = grid
@@ -295,7 +284,7 @@ def _plan_route(
         if target in extra:
             continue
         try:
-            path = memo_astar(astar, work, robot.cell, target, routes)
+            path = astar(work, _cell(robot.cell, cols), _cell(target, cols))
         except (NoPath, BlockedEndpoint):
             continue
         return [c.row * cols + c.col for c in path.cells[:0:-1]]
@@ -309,11 +298,9 @@ def simulate(
     config: RunConfig,
     task_id: str = "task",
     record_trace: bool = False,
-    routes: RouteMemo | None = None,
 ) -> TrialOutcome:
     """Run one relay plan to completion, or until the tick budget runs out
-    (config.tick_budget, else 10 * the grid's area). `routes` memoizes the
-    robots' searches on `grid` (see run_batch)."""
+    (config.tick_budget, else 10 * the grid's area)."""
     bus = MessageBus(delay=config.message_delay)
     cols = grid.cols
     # every robot's start cell; only the chain's robots move off theirs
@@ -409,7 +396,7 @@ def simulate(
             if not rb.stops or rb.cell in rb.stops:
                 continue
             if not rb.route:
-                rb.route = _plan_route(rb, grid, routes=routes)
+                rb.route = _plan_route(rb, grid)
             if rb.blocked_ticks >= _REPLAN_AFTER:
                 detour = _plan_route(rb, grid, occupied)
                 if detour:
@@ -461,20 +448,16 @@ def run_trial(
     baseline: bool = False,
     task_id: str = "task",
     record_trace: bool = False,
-    routes: RouteMemo | None = None,
 ) -> TrialOutcome:
-    """Plan and execute one trial end to end; `routes` memoizes the searches
-    made on the trial's grid."""
+    """Plan and execute one trial end to end."""
     workspace = config.workspace()
     grid = OccupancyGrid(workspace=workspace)
     diagram = compute_voronoi(placements, workspace)
     if baseline:
-        plan = single_agent_baseline(task, placements, diagram, grid, routes=routes)
+        plan = single_agent_baseline(task, placements, diagram, grid)
     else:
-        plan = build_relay_plan(task, placements, diagram, grid, routes=routes)
-    return simulate(
-        plan, placements, grid, config, task_id=task_id, record_trace=record_trace, routes=routes
-    )
+        plan = build_relay_plan(task, placements, diagram, grid)
+    return simulate(plan, placements, grid, config, task_id=task_id, record_trace=record_trace)
 
 
 # --- batch harness -----------------------------------------------------------
@@ -494,13 +477,8 @@ def run_batch(config: SimConfig) -> tuple[BatchSummary, list[TrialRecord], list[
             rng = random.Random(seed_key)
             placements, task = generate_trial(size, config, rng)
             tid = f"trial-{size}-{i}"
-            # one route memo per trial, shared by the relay run and its
-            # baseline, which plan and move on equal grids
-            routes: RouteMemo = {}
-            outcome = run_trial(placements, task, config, task_id=tid, routes=routes)
-            base = run_trial(
-                placements, task, config, baseline=True, task_id=tid + "-baseline", routes=routes
-            )
+            outcome = run_trial(placements, task, config, task_id=tid)
+            base = run_trial(placements, task, config, baseline=True, task_id=tid + "-baseline")
             rec = outcome.record
             rec.seed = seed_key
             rec.baseline_total_moves = base.record.total_moves

@@ -581,8 +581,12 @@ class TestExternalInterpreter:
             (b"not json", "error: reply is not JSON: Expecting value: line 1 column 1 (char 0)"),
             ({"pickup": "Kitchen", "drop": "kitchen", "item": "cup"},
              "error: interpreter returned identical zones 'Kitchen'"),
+            ({"pickup": 5, "drop": "Bedroom", "item": "cup"},
+             "error: reply's pickup, drop and item must be strings"),
+            ({"pickup": "Kitchen", "drop": "Bedroom", "item": ["cup"]},
+             "error: reply's pickup, drop and item must be strings"),
         ],
-        ids=["not-json", "one-zone-twice"],
+        ids=["not-json", "one-zone-twice", "numeric-pickup", "list-item"],
     )
     def test_unusable_reply_exits_2_without_fallback(
         self, reply, line, map_file, robots_file, mock_endpoint, capsys
@@ -599,6 +603,18 @@ class TestExternalInterpreter:
         self, map_file, robots_file, mock_endpoint, tmp_path
     ):
         _Handler.reply = b"not json"
+        sources = ["--command", COMMAND, "--map", map_file, "--robots", robots_file]
+        external, grammar = tmp_path / "external.jsonl", tmp_path / "grammar.jsonl"
+        assert main(["run", *sources, "--endpoint", mock_endpoint, "--timeout", "2",
+                     "--out", str(external)]) == EXIT_OK
+        assert main(["run", *sources, "--out", str(grammar)]) == EXIT_OK
+        assert len(_Handler.seen) == 1
+        assert external.read_bytes() == grammar.read_bytes()
+
+    def test_reply_with_a_numeric_zone_falls_back_to_the_grammar_record(
+        self, map_file, robots_file, mock_endpoint, tmp_path
+    ):
+        _Handler.reply = {"pickup": 5, "drop": "Bedroom", "item": "cup"}
         sources = ["--command", COMMAND, "--map", map_file, "--robots", robots_file]
         external, grammar = tmp_path / "external.jsonl", tmp_path / "grammar.jsonl"
         assert main(["run", *sources, "--endpoint", mock_endpoint, "--timeout", "2",

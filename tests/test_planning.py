@@ -109,6 +109,22 @@ class TestAstar:
         grid = OccupancyGrid(workspace=Workspace(Point(0, 0), Point(1.0, 1.0), 1, 1))
         assert astar(grid, GridCell(0, 0), GridCell(0, 0)).cells == (GridCell(0, 0),)
 
+    def test_open_grid_route_equals_the_search(self):
+        # a fully blocked column on the right keeps every original cell's f, h
+        # and row-major order, so the search on the padded grid picks the path
+        # the open grid's route must equal
+        for cols in range(1, 11):
+            for rows in range(1, 11):
+                grid = OccupancyGrid(workspace=Workspace(Point(0, 0), Point(cols, rows), cols, rows))
+                padded = OccupancyGrid(
+                    workspace=Workspace(Point(0, 0), Point(cols + 1, rows), cols + 1, rows),
+                    blocked=frozenset(GridCell(cols, r) for r in range(rows)),
+                )
+                cells = [GridCell(c, r) for r in range(rows) for c in range(cols)]
+                for a in cells:
+                    for b in cells:
+                        assert astar(grid, a, b) == astar(padded, a, b), (cols, rows, a, b)
+
     def test_paths_and_no_paths_digest(self):
         # pins the (f, h, row-major index) tie-break: an equally short but
         # different path, or a different set of NoPath calls, changes the digest

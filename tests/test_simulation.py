@@ -236,15 +236,14 @@ class TestSingleTrials:
         assert kinds == set(leds)
 
 
-class TestRouteMemo:
-    """run_batch searches each trial's routes through one memo, shared by the
-    relay plan, the baseline plan and both runs."""
+class TestSearchCallers:
+    """Each layer searches through its own module's `astar` name, so a wrapper
+    set on that module sees every search the layer makes."""
 
     @pytest.mark.parametrize("message_delay", (0, 2))
-    def test_batch_runs_like_fresh_searches(self, message_delay, monkeypatch):
+    def test_batch_runs_like_fresh_runs(self, message_delay, monkeypatch):
         """Each run of the batch, relay and baseline, equals the same trial run
-        on the same diagram with every route searched afresh: a cached path
-        that a route pop() had shortened would show here."""
+        on its own."""
         cfg = replace(SMALL, message_delay=message_delay)
         runs = []
         real = simulation.run_trial
@@ -258,27 +257,20 @@ class TestRouteMemo:
         run_batch(cfg)
         monkeypatch.undo()
         assert len(runs) == 40
-        memos = [kwargs.pop("routes") for _, _, kwargs, _, _ in runs]
-        # one memo per trial, used by its relay run and its baseline
-        assert all(memos[i] and memos[i] is memos[i + 1] for i in range(0, 40, 2))
-        assert len({id(m) for m in memos}) == 20
         for placements, task, kwargs, line, out in runs:
             fresh = run_trial(placements, task, cfg, **kwargs)
             assert fresh.record.to_json_line() == line
             assert fresh.plan == out.plan
             assert fresh.messages == out.messages
 
-    def test_one_search_per_route_per_trial(self, monkeypatch):
-        searches = []  # (trial, layer, grid, start, goal, made inside simulate)
-        trial = [-1]
+    def test_simulate_searches_through_simulation_and_plans_through_planning(
+        self, monkeypatch
+    ):
+        searches = []  # (layer, grid, made inside simulate)
         inside = [False]
         built = []
-        real_generate, real_simulate = simulation.generate_trial, simulation.simulate
+        real_simulate = simulation.simulate
         real_grid = simulation.OccupancyGrid
-
-        def generating(*args):
-            trial[0] += 1
-            return real_generate(*args)
 
         def simulating(*args, **kwargs):
             inside[0] = True
@@ -293,27 +285,24 @@ class TestRouteMemo:
 
         def counting(layer, search):
             def wrapped(grid, start, goal):
-                searches.append((trial[0], layer, grid, start, goal, inside[0]))
+                searches.append((layer, grid, inside[0]))
                 return search(grid, start, goal)
             return wrapped
 
-        monkeypatch.setattr(simulation, "generate_trial", generating)
         monkeypatch.setattr(simulation, "simulate", simulating)
         monkeypatch.setattr(simulation, "OccupancyGrid", building)
         monkeypatch.setattr(planning, "astar", counting("planning", planning.astar))
         monkeypatch.setattr(simulation, "astar", counting("simulation", simulation.astar))
         run_batch(SMALL)
-        assert trial[0] == 19
 
         floor = OccupancyGrid(workspace=SMALL.workspace())
-        own = [(t, start, goal) for t, _, grid, start, goal, _ in searches if grid == floor]
-        assert len(own) == len(set(own))
-        # simulate's searches, memo misses and detours alike, are simulation's
-        for _, layer, _, _, _, in_simulate in searches:
+        # simulate's searches, routes and detours alike, are simulation's
+        for layer, _, in_simulate in searches:
             assert layer == ("simulation" if in_simulate else "planning")
-        assert any(in_sim and grid == floor for *_, grid, _, _, in_sim in searches)
+        assert any(not in_sim for *_, in_sim in searches)
+        assert any(in_sim and grid == floor for _, grid, in_sim in searches)
         # detours search grids of their own, built through simulation.OccupancyGrid
-        detours = [grid for _, _, grid, _, _, _ in searches if grid != floor]
+        detours = [grid for _, grid, _ in searches if grid != floor]
         assert detours
         for grid in detours:
             assert grid.blocked and any(grid is b for b in built)
