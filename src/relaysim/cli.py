@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -145,7 +144,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         flags["trials_per_size"] = args.trials
     loaded = _load_config(args.config, simulation.SimConfig)
     try:
-        config = dataclasses.replace(loaded, **flags)
+        config = simulation.SimConfig(**dict(loaded._asdict(), **flags))
     except ValueError as exc:  # the flags do not fit the configured grid
         raise UsageError(str(exc)) from exc
     with contextlib.ExitStack() as stack:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import IllegalTransition
 from .geometry import Point
@@ -39,8 +38,7 @@ _MESSAGE_LED = {
 }
 
 
-@dataclass(frozen=True)
-class HandoffMessage:
+class HandoffMessage(NamedTuple):
     kind: MessageKind
     task_id: str
     from_id: int
@@ -76,16 +74,14 @@ class EventKind(str, Enum):
     DROP_DONE = "DropDone"
 
 
-@dataclass(frozen=True)
-class FsmEvent:
+class FsmEvent(NamedTuple):
     kind: EventKind
     tick: int
     at: Point | None = None  # MessageReceived: where the receiver stands
     message: HandoffMessage | None = None  # MessageReceived payload
 
 
-@dataclass(frozen=True)
-class RobotFsm:
+class RobotFsm(NamedTuple):
     """One robot's protocol state. Its relay leg starts at the pickup or its
     incoming transfer point and ends at its outgoing transfer point or the
     drop; a robot with neither start is a bystander."""
@@ -117,6 +113,11 @@ class RobotFsm:
         return LedStatus.GREEN if self.carrying is not None else LedStatus.OFF
 
 
+def _moved(fsm: RobotFsm, state: RobotState, carrying: str | None) -> RobotFsm:
+    """fsm in `state`, holding `carrying`; every field after `carrying` unchanged."""
+    return RobotFsm(fsm.robot_id, state, carrying, *fsm[3:])
+
+
 def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMessage]]:
     """Apply one event to the FSM; returns the successor and emitted messages.
 
@@ -132,16 +133,16 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
     if k == EventKind.ASSIGN_SEGMENT:
         if s is not RobotState.IDLE or (fsm.pickup_at is None and fsm.incoming_transfer is None):
             raise IllegalTransition(f"AssignSegment in state {s} for robot {fsm.robot_id}")
-        return dataclasses.replace(fsm, state=RobotState.NAVIGATE), []
+        return _moved(fsm, RobotState.NAVIGATE, fsm.carrying), []
 
     if k == EventKind.ARRIVED_WAYPOINT:
         if s is not RobotState.NAVIGATE:
             raise IllegalTransition(f"ArrivedWaypoint in state {s}")
         if not carrying:  # at the pickup, or at the incoming transfer to wait
             state = RobotState.PICKUP if fsm.pickup_at is not None else RobotState.RELAY
-            return dataclasses.replace(fsm, state=state), []
+            return _moved(fsm, state, fsm.carrying), []
         if fsm.outgoing_transfer is None:
-            return dataclasses.replace(fsm, state=RobotState.DELIVER), []
+            return _moved(fsm, RobotState.DELIVER, fsm.carrying), []
         ready = HandoffMessage(
             kind=MessageKind.HANDOFF_READY,
             task_id=fsm.task_id,
@@ -150,19 +151,19 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
             at=fsm.outgoing_transfer,
             tick=event.tick,
         )
-        return dataclasses.replace(fsm, state=RobotState.RELAY), [ready]
+        return _moved(fsm, RobotState.RELAY, fsm.carrying), [ready]
 
     if k == EventKind.PICKUP_DONE:
         if s is not RobotState.PICKUP:
             raise IllegalTransition(f"PickupDone in state {s}")
-        return dataclasses.replace(fsm, state=RobotState.NAVIGATE, carrying=fsm.item), []
+        return _moved(fsm, RobotState.NAVIGATE, fsm.item), []
 
     if k == EventKind.MESSAGE_RECEIVED:
         msg = event.message
         if msg is None:
             raise IllegalTransition("MessageReceived without a message")
         if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_ACK and carrying:
-            return dataclasses.replace(fsm, state=RobotState.IDLE, carrying=None), []
+            return _moved(fsm, RobotState.IDLE, None), []
         if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_READY and not carrying:
             ack = HandoffMessage(
                 kind=MessageKind.HANDOFF_ACK,
@@ -172,7 +173,7 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
                 at=event.at if event.at is not None else msg.at,
                 tick=event.tick,
             )
-            return dataclasses.replace(fsm, state=RobotState.NAVIGATE, carrying=fsm.item), [ack]
+            return _moved(fsm, RobotState.NAVIGATE, fsm.item), [ack]
         raise IllegalTransition(f"{msg.kind} in state {s} with carrying={fsm.carrying!r}")
 
     if k == EventKind.DROP_DONE:
@@ -186,18 +187,20 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
             at=fsm.drop_at,
             tick=event.tick,
         )
-        return dataclasses.replace(fsm, state=RobotState.IDLE, carrying=None), [done]
+        return _moved(fsm, RobotState.IDLE, None), [done]
 
     raise IllegalTransition(f"unhandled event kind {k}")
 
 
-@dataclass
 class MessageBus:
     """Reliable FIFO bus with an optional fixed delivery delay in ticks."""
 
-    delay: int = 0
-    _queues: dict[int, deque[tuple[int, HandoffMessage]]] = field(default_factory=dict)
-    log: list[HandoffMessage] = field(default_factory=list)
+    __slots__ = ("delay", "_queues", "log")
+
+    def __init__(self, delay: int = 0) -> None:
+        self.delay = delay
+        self._queues: dict[int, deque[tuple[int, HandoffMessage]]] = {}
+        self.log: list[HandoffMessage] = []
 
     def send(self, message: HandoffMessage) -> None:
         q = self._queues.setdefault(message.to_id, deque())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateEdge,
@@ -29,14 +29,24 @@ EPS_SITE = 1e-6
 EPS_PARALLEL = 1e-9
 
 
-@dataclass(frozen=True)
-class Point:
+# Value types are NamedTuples, not dataclasses: building dataclasses at import
+# costs every `relaysim run` process tens of milliseconds. A type that checks
+# its fields subclasses a NamedTuple of them and checks them in `__new__`
+# (`_make` and `_replace` skip that check, so the package calls neither).
+
+
+class _PointFields(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+
+class Point(_PointFields):
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> Point:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
 
 def _is_int(value: object) -> bool:
@@ -47,18 +57,30 @@ def dist(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
-class Workspace:
+class _WorkspaceFields(NamedTuple):
     min_corner: Point
     max_corner: Point
     grid_cols: int
     grid_rows: int
 
-    def __post_init__(self) -> None:
-        if not (self.min_corner.x < self.max_corner.x and self.min_corner.y < self.max_corner.y):
+
+class Workspace(_WorkspaceFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, min_corner: Point, max_corner: Point, grid_cols: int, grid_rows: int
+    ) -> Workspace:
+        if not (min_corner.x < max_corner.x and min_corner.y < max_corner.y):
             raise ValueError("min_corner must be strictly below max_corner componentwise")
-        if not all(_is_int(n) and n >= 1 for n in (self.grid_cols, self.grid_rows)):
+        if not all(_is_int(n) and n >= 1 for n in (grid_cols, grid_rows)):
             raise ValueError("grid dimensions must be integers >= 1")
+        # squared distances within the workspace must stay finite, or `locate`
+        # finds no site nearer than infinity
+        w = max_corner.x - min_corner.x
+        h = max_corner.y - min_corner.y
+        if not math.isfinite(w * w + h * h):
+            raise ValueError("workspace extent too large: its squared diagonal is not finite")
+        return tuple.__new__(cls, (min_corner, max_corner, grid_cols, grid_rows))
 
     @property
     def width(self) -> float:
@@ -84,8 +106,7 @@ class Workspace:
         ]
 
 
-@dataclass(frozen=True)
-class VoronoiCell:
+class VoronoiCell(NamedTuple):
     """One site's region, a counter-clockwise convex polygon."""
 
     site_id: int
@@ -134,8 +155,7 @@ class VoronoiDiagram:
         return self.workspace == other.workspace and self.cells == other.cells
 
 
-@dataclass(frozen=True)
-class SharedEdge:
+class SharedEdge(NamedTuple):
     site_a: int
     site_b: int
     p1: Point

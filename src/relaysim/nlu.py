@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     EndpointUnreachable,
@@ -30,8 +30,7 @@ _COMMAND_RE = re.compile(
 _ARTICLE_RE = re.compile(r"^(?:the|a|an)\s+", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     pickup: Point
     drop: Point
     item: str
@@ -59,8 +58,7 @@ def task_from_dict(data: dict) -> TaskSpec:
     return task
 
 
-@dataclass(frozen=True)
-class InterpreterConfig:
+class InterpreterConfig(NamedTuple):
     endpoint: str | None = None  # set: the external route; None: the grammar
     timeout: float = 5.0
     fallback: bool = True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BlockedEndpoint, CellOutOfBounds, NoPath
 from .geometry import (
@@ -25,8 +25,7 @@ from .nlu import TaskSpec, task_from_dict, task_to_dict
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
 
-@dataclass(frozen=True)
-class GridPath:
+class GridPath(NamedTuple):
     cells: tuple[GridCell, ...]
 
     @property
@@ -35,8 +34,7 @@ class GridPath:
         return len(self.cells) - 1
 
 
-@dataclass(frozen=True)
-class RelayPlan:
+class RelayPlan(NamedTuple):
     """The relay chain: active[j] carries the item from legs[j] to legs[j + 1]."""
 
     task: TaskSpec

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coordination import (
     EventKind,
@@ -35,55 +35,83 @@ _REPLAN_AFTER = 3
 _STOP_OFFSETS = ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfigFields(NamedTuple):
+    message_delay: int
+    tick_budget: int | None  # None: 10 * the simulated grid's area
+
+
+class RunConfig(_RunConfigFields):
     """How `simulate` executes a plan."""
 
-    message_delay: int = 0
-    tick_budget: int | None = None  # defaults to 10 * the simulated grid's area
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.message_delay) or self.message_delay < 0:
+    def __new__(cls, message_delay: int = 0, tick_budget: int | None = None) -> RunConfig:
+        if not _is_int(message_delay) or message_delay < 0:
             raise ValueError("message_delay must be an integer >= 0")
-        if self.tick_budget is not None and (not _is_int(self.tick_budget) or self.tick_budget < 1):
+        if tick_budget is not None and (not _is_int(tick_budget) or tick_budget < 1):
             raise ValueError("tick_budget must be null or an integer >= 1")
+        return tuple.__new__(cls, (message_delay, tick_budget))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
+    def from_dict(cls, data: dict) -> RunConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class SimConfig(RunConfig):
-    """A randomized batch: the trials to generate, and how each one runs."""
+class _SimConfigFields(NamedTuple):
+    message_delay: int  # RunConfig's fields first, in its order
+    tick_budget: int | None
+    grid_cols: int
+    grid_rows: int
+    team_sizes: tuple[int, ...]
+    trials_per_size: int
+    min_task_separation: float
+    seed: int
 
-    grid_cols: int = 20
-    grid_rows: int = 20
-    team_sizes: tuple[int, ...] = (1, 3, 5, 7, 10)
-    trials_per_size: int = 100
-    min_task_separation: float = 8.0
-    seed: int = 0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+class SimConfig(_SimConfigFields, RunConfig):
+    """A randomized batch: the trials to generate, and how each one runs.
+
+    A RunConfig too: its fields start with RunConfig's, which read the same
+    tuple positions, and it inherits `from_dict`.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        message_delay: int = 0,
+        tick_budget: int | None = None,
+        grid_cols: int = 20,
+        grid_rows: int = 20,
+        team_sizes: tuple[int, ...] = (1, 3, 5, 7, 10),
+        trials_per_size: int = 100,
+        min_task_separation: float = 8.0,
+        seed: int = 0,
+    ) -> SimConfig:
+        RunConfig(message_delay, tick_budget)  # checks RunConfig's fields
         # team sizes decoded from a JSON list are stored as a tuple
-        object.__setattr__(self, "team_sizes", tuple(self.team_sizes))
-        if not all(_is_int(n) for n in self.team_sizes):
+        team_sizes = tuple(team_sizes)
+        if not all(_is_int(n) for n in team_sizes):
             raise ValueError("team_sizes must be integers")
-        if not all(_is_int(n) and n >= 1 for n in (self.grid_cols, self.grid_rows)):
+        if not all(_is_int(n) and n >= 1 for n in (grid_cols, grid_rows)):
             raise ValueError("grid_cols and grid_rows must be integers >= 1")
-        sep = self.min_task_separation
+        sep = min_task_separation
         if isinstance(sep, bool) or not isinstance(sep, (int, float)) or not math.isfinite(sep):
             raise ValueError("min_task_separation must be a finite number")
-        if sep >= math.hypot(self.grid_cols, self.grid_rows):
+        if sep >= math.hypot(grid_cols, grid_rows):
             raise ValueError("min_task_separation must be below the grid diameter")
-        if not _is_int(self.trials_per_size) or self.trials_per_size < 1:
+        if not _is_int(trials_per_size) or trials_per_size < 1:
             raise ValueError("trials_per_size must be an integer >= 1")
-        if not self.team_sizes or min(self.team_sizes) < 1:
+        if not team_sizes or min(team_sizes) < 1:
             raise ValueError("team_sizes must be a non-empty list of sizes >= 1")
         # the pickup and the drop need two cells that no robot starts on
-        if max(self.team_sizes) > self.grid_cols * self.grid_rows - 2:
+        if max(team_sizes) > grid_cols * grid_rows - 2:
             raise ValueError("team_sizes must leave two of the grid's cells free")
+        return tuple.__new__(
+            cls,
+            (message_delay, tick_budget, grid_cols, grid_rows, team_sizes,
+             trials_per_size, min_task_separation, seed),
+        )
 
     def workspace(self) -> Workspace:
         return Workspace(
@@ -94,18 +122,38 @@ class SimConfig(RunConfig):
         )
 
 
-@dataclass
 class TrialRecord:
-    trial_id: str
-    team_size: int
-    seed: str
-    task: TaskSpec
-    active_count: int
-    per_agent_moves: dict[int, int]
-    total_moves: int
-    baseline_total_moves: int
-    ticks: int
-    completed: bool
+    """One trial's figures; `run_batch` fills in `seed` and the baseline's
+    after both runs."""
+
+    __slots__ = (
+        "trial_id", "team_size", "seed", "task", "active_count", "per_agent_moves",
+        "total_moves", "baseline_total_moves", "ticks", "completed",
+    )
+
+    def __init__(
+        self,
+        trial_id: str,
+        team_size: int,
+        seed: str,
+        task: TaskSpec,
+        active_count: int,
+        per_agent_moves: dict[int, int],
+        total_moves: int,
+        baseline_total_moves: int,
+        ticks: int,
+        completed: bool,
+    ) -> None:
+        self.trial_id = trial_id
+        self.team_size = team_size
+        self.seed = seed
+        self.task = task
+        self.active_count = active_count
+        self.per_agent_moves = per_agent_moves
+        self.total_moves = total_moves
+        self.baseline_total_moves = baseline_total_moves
+        self.ticks = ticks
+        self.completed = completed
 
     def to_dict(self) -> dict:
         return {
@@ -125,8 +173,7 @@ class TrialRecord:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class SizeStats:
+class SizeStats(NamedTuple):
     team_size: int
     trials: int
     completed: int
@@ -137,25 +184,31 @@ class SizeStats:
     reduction: float
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     per_size: dict[int, SizeStats]
     completion_rate: float
 
 
-@dataclass(frozen=True)
-class TickTrace:
+class TickTrace(NamedTuple):
     tick: int
     carriers: tuple[int, ...]
     positions: dict[int, GridCell]
 
 
-@dataclass
 class TrialOutcome:
-    record: TrialRecord
-    plan: RelayPlan
-    messages: list[HandoffMessage]
-    trace: list[TickTrace] | None = None
+    __slots__ = ("record", "plan", "messages", "trace")
+
+    def __init__(
+        self,
+        record: TrialRecord,
+        plan: RelayPlan,
+        messages: list[HandoffMessage],
+        trace: list[TickTrace] | None = None,
+    ) -> None:
+        self.record = record
+        self.plan = plan
+        self.messages = messages
+        self.trace = trace
 
 
 # --- trial generation --------------------------------------------------------
@@ -206,19 +259,21 @@ def generate_trial(
 # --- single-trial executor ---------------------------------------------------
 
 
-@dataclass
 class _Robot:
     """Physical state of one robot of the relay chain, on row-major cell
     indices. Its FSM owns the leg; simulate caches the cells where the FSM's
     goal counts as reached after every fsm_step."""
 
-    rid: int
-    cell: int
-    fsm: RobotFsm
-    route: list[int] = field(default_factory=list)  # reversed: the next cell is last
-    blocked_ticks: int = 0
-    moves: int = 0
-    stops: tuple[int, ...] = ()  # in the order the router tries them
+    __slots__ = ("rid", "cell", "fsm", "route", "blocked_ticks", "moves", "stops")
+
+    def __init__(self, rid: int, cell: int, fsm: RobotFsm) -> None:
+        self.rid = rid
+        self.cell = cell
+        self.fsm = fsm
+        self.route: list[int] = []  # reversed: the next cell is last
+        self.blocked_ticks = 0
+        self.moves = 0
+        self.stops: tuple[int, ...] = ()  # in the order the router tries them
 
 
 def _cell(index: int, cols: int) -> GridCell:

@@ -5,31 +5,51 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CellOutOfBounds, PointOutsideWorkspace, UnknownZone
-from .geometry import Point, Workspace, point_from_list, workspace_from_dict, workspace_to_dict
+from .geometry import (
+    Point,
+    Workspace,
+    _is_int,
+    point_from_list,
+    workspace_from_dict,
+    workspace_to_dict,
+)
 
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True, order=True)
-class GridCell:
+class GridCell(NamedTuple):
     col: int
     row: int
 
 
-@dataclass(frozen=True)
 class OccupancyGrid:
-    workspace: Workspace
-    blocked: frozenset[GridCell] = frozenset()
+    """A workspace's grid and its blocked cells. Its fields are read-only, so
+    the figures it caches on first use stay true."""
 
-    def __post_init__(self) -> None:
-        for c in self.blocked:
+    def __init__(self, workspace: Workspace, blocked: frozenset[GridCell] = frozenset()) -> None:
+        vars(self).update(workspace=workspace, blocked=blocked)
+        for c in blocked:
             if not self.in_bounds(c):
                 raise CellOutOfBounds(f"blocked cell {c} out of bounds")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to OccupancyGrid.{name}")
+
+    def __repr__(self) -> str:
+        return f"OccupancyGrid(workspace={self.workspace!r}, blocked={self.blocked!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OccupancyGrid):
+            return NotImplemented
+        return (self.workspace, self.blocked) == (other.workspace, other.blocked)
+
+    def __hash__(self) -> int:
+        return hash((self.workspace, self.blocked))
 
     @property
     def cols(self) -> int:
@@ -91,9 +111,15 @@ def normalize_zone_name(name: str) -> str:
     return _WS_RE.sub(" ", name.strip().lower())
 
 
-@dataclass(frozen=True)
-class SemanticMap:
-    zones: dict[str, Point] = field(default_factory=dict)  # keys normalized
+class _SemanticMapFields(NamedTuple):
+    zones: dict[str, Point]  # keys normalized
+
+
+class SemanticMap(_SemanticMapFields):
+    __slots__ = ()
+
+    def __new__(cls, zones: dict[str, Point] | None = None) -> SemanticMap:
+        return tuple.__new__(cls, ({} if zones is None else zones,))
 
     @staticmethod
     def from_raw(raw: dict[str, Point]) -> "SemanticMap":
@@ -138,7 +164,10 @@ def dump_semantic_map(smap: SemanticMap, workspace: Workspace) -> str:
 
 
 def load_occupancy(path: str | Path, workspace: Workspace) -> OccupancyGrid:
-    """Optional occupancy file: JSON list of [col, row] blocked cells."""
-    cells = json.loads(Path(path).read_text(encoding="utf-8"))
-    blocked = frozenset(GridCell(int(c), int(r)) for c, r in cells)
-    return OccupancyGrid(workspace=workspace, blocked=blocked)
+    """Optional occupancy file: JSON list of [col, row] blocked cells, each
+    two JSON integers (not booleans)."""
+    cells = [GridCell(c, r) for c, r in json.loads(Path(path).read_text(encoding="utf-8"))]
+    for c in cells:
+        if not (_is_int(c.col) and _is_int(c.row)):
+            raise ValueError(f"cell {list(c)!r} is not two integers")
+    return OccupancyGrid(workspace=workspace, blocked=frozenset(cells))

@@ -449,6 +449,8 @@ class TestMalformedInput:
             (RUN_MAP, _map(cols=2.5)),
             (RUN_MAP, _map(cols=0)),
             (RUN_MAP, _map(min=[20, 0])),
+            (RUN_MAP, _map(max=[20, 1e300])),
+            (RUN_MAP, _map(max=[1e300, 20])),
             (RUN_MAP, _map(zones={"kitchen": [math.nan, 17.5], "bedroom": [17.5, 2.5]})),
             (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
                                   "bedroom": [17.5, 2.5]})),
@@ -482,7 +484,9 @@ class TestMalformedInput:
              "robot-on-upper-edge", "robot-outside-workspace", "robot-below-lower-edge",
              "fractional-robot-ids", "boolean-robot-id", "nan-robot-coordinate",
              "boolean-map-cols", "fractional-map-cols", "zero-map-cols",
-             "map-min-not-below-max", "nan-zone-anchor", "zones-equal-after-normalization",
+             "map-min-not-below-max", "map-too-tall-for-squared-distances",
+             "map-too-wide-for-squared-distances", "nan-zone-anchor",
+             "zones-equal-after-normalization",
              "diagram-with-duplicate-site-id", "string-and-boolean-robot-coordinates",
              "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
              "plan-string-baseline-flag", "plan-string-fallback-flag", "plan-numeric-item",
@@ -776,7 +780,7 @@ class TestFreshProcess:
         """, tmp_path)
         assert got["codes"] == [EXIT_OK, EXIT_OK]
         unused = ("http.client", "urllib.request", "ssl", "email", "statistics", "logging",
-                  "relaysim.render")
+                  "dataclasses", "inspect", "relaysim.render")
         loaded = [m for m in got["after_run"] if any(m == u or m.startswith(u + ".") for u in unused)]
         assert loaded == []
         assert "relaysim.render" in got["after_plan"]

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -119,7 +118,7 @@ class TestSingleTrials:
     @pytest.mark.parametrize("message_delay", [0, 2])
     def test_random_trials_execution_invariants(self, message_delay):
         """Possession, handoff location, completion, and message counts."""
-        cfg = replace(SMALL, message_delay=message_delay)
+        cfg = SimConfig(**dict(SMALL._asdict(), message_delay=message_delay))
         grid = OccupancyGrid(workspace=cfg.workspace())
         for i in range(100):
             n = (1, 3, 5, 10)[i % 4]
@@ -225,7 +224,7 @@ class TestSingleTrials:
     @pytest.mark.parametrize("message_delay", [0, 2])
     def test_logged_message_leds_follow_kind(self, message_delay):
         leds = {"HandoffReady": "blue", "HandoffAck": "green", "TaskComplete": "off"}
-        cfg = replace(SMALL, message_delay=message_delay)
+        cfg = SimConfig(**dict(SMALL._asdict(), message_delay=message_delay))
         kinds = set()
         for i in range(10):
             placements, task = generate_trial(10, cfg, random.Random(f"led/{i}"))
@@ -244,7 +243,7 @@ class TestSearchCallers:
     def test_batch_runs_like_fresh_runs(self, message_delay, monkeypatch):
         """Each run of the batch, relay and baseline, equals the same trial run
         on its own."""
-        cfg = replace(SMALL, message_delay=message_delay)
+        cfg = SimConfig(**dict(SMALL._asdict(), message_delay=message_delay))
         runs = []
         real = simulation.run_trial
 

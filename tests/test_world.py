@@ -118,6 +118,17 @@ def test_occupancy_file(workspace20, tmp_path):
     assert not grid.is_blocked(GridCell(1, 1))
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [[[0.9, 3]], [["3", 2]], [[True, 2]], [[1, 2], [True, 2]], [[0.9, "3"], [True, 2]]],
+)
+def test_occupancy_cells_must_be_json_integers(cells, workspace20, tmp_path):
+    path = tmp_path / "occ.json"
+    path.write_text(json.dumps(cells), encoding="utf-8")
+    with pytest.raises(ValueError, match="not two integers"):
+        load_occupancy(path, workspace20)
+
+
 def test_blocked_cell_out_of_bounds_rejected(workspace20):
     with pytest.raises(CellOutOfBounds):
         OccupancyGrid(workspace=workspace20, blocked=frozenset({GridCell(50, 2)}))
