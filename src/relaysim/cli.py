@@ -45,7 +45,7 @@ def _decode_config(path: str, config_type: type[simulation.RunConfig]) -> simula
     data = json.loads(_read(path))
     if "seed" in data:
         raise ValueError("seed is set by `batch --seed`, not by a config file")
-    return config_type.from_dict(data)
+    return config_type(**data)
 
 
 def _load_config(path: str | None, config_type: type[simulation.RunConfig]) -> simulation.RunConfig:

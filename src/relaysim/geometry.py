@@ -27,6 +27,9 @@ EPS_GEOM = 1e-9
 EPS_SITE = 1e-6
 # relative threshold below which an edge counts as parallel to the bisector
 EPS_PARALLEL = 1e-9
+# most grid cells a workspace may have: the simulator keeps a byte per cell
+# and its default tick budget is ten per cell (the largest workload is 60x60)
+MAX_GRID_CELLS = 1_000_000
 
 
 # Value types are NamedTuples, not dataclasses: building dataclasses at import
@@ -74,12 +77,16 @@ class Workspace(_WorkspaceFields):
             raise ValueError("min_corner must be strictly below max_corner componentwise")
         if not all(_is_int(n) and n >= 1 for n in (grid_cols, grid_rows)):
             raise ValueError("grid dimensions must be integers >= 1")
+        if grid_cols * grid_rows > MAX_GRID_CELLS:
+            raise ValueError(f"a {grid_cols}x{grid_rows} grid has more than {MAX_GRID_CELLS} cells")
         # squared distances within the workspace must stay finite, or `locate`
         # finds no site nearer than infinity
         w = max_corner.x - min_corner.x
         h = max_corner.y - min_corner.y
         if not math.isfinite(w * w + h * h):
             raise ValueError("workspace extent too large: its squared diagonal is not finite")
+        if not (w / grid_cols > 0 and h / grid_rows > 0):
+            raise ValueError("workspace extent too small: its grid cells have no width or height")
         return tuple.__new__(cls, (min_corner, max_corner, grid_cols, grid_rows))
 
     @property

@@ -129,7 +129,7 @@ def interpret_external(
     """
     if not config.endpoint:
         raise ValueError("interpret_external requires an endpoint")
-    payload = {"command": text, "zones": smap.zone_names()}
+    payload = {"command": text, "zones": sorted(smap.zones)}
     try:
         body = _post_json(config.endpoint, payload, config.timeout)
         try:

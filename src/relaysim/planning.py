@@ -28,11 +28,6 @@ from .world import GridCell, OccupancyGrid, cell_of, center_of
 class GridPath(NamedTuple):
     cells: tuple[GridCell, ...]
 
-    @property
-    def length(self) -> int:
-        """Number of moves (cells minus one)."""
-        return len(self.cells) - 1
-
 
 class RelayPlan(NamedTuple):
     """The relay chain: active[j] carries the item from legs[j] to legs[j + 1]."""

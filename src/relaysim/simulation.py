@@ -52,10 +52,6 @@ class RunConfig(_RunConfigFields):
             raise ValueError("tick_budget must be null or an integer >= 1")
         return tuple.__new__(cls, (message_delay, tick_budget))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> RunConfig:
-        return cls(**data)
-
 
 class _SimConfigFields(NamedTuple):
     message_delay: int  # RunConfig's fields first, in its order
@@ -72,7 +68,7 @@ class SimConfig(_SimConfigFields, RunConfig):
     """A randomized batch: the trials to generate, and how each one runs.
 
     A RunConfig too: its fields start with RunConfig's, which read the same
-    tuple positions, and it inherits `from_dict`.
+    tuple positions.
     """
 
     __slots__ = ()
@@ -93,6 +89,10 @@ class SimConfig(_SimConfigFields, RunConfig):
         team_sizes = tuple(team_sizes)
         if not all(_is_int(n) for n in team_sizes):
             raise ValueError("team_sizes must be integers")
+        if len(set(team_sizes)) != len(team_sizes):
+            raise ValueError("team_sizes must not repeat a size")
+        if not _is_int(seed):
+            raise ValueError("seed must be an integer")
         if not all(_is_int(n) and n >= 1 for n in (grid_cols, grid_rows)):
             raise ValueError("grid_cols and grid_rows must be integers >= 1")
         sep = min_task_separation
@@ -107,11 +107,13 @@ class SimConfig(_SimConfigFields, RunConfig):
         # the pickup and the drop need two cells that no robot starts on
         if max(team_sizes) > grid_cols * grid_rows - 2:
             raise ValueError("team_sizes must leave two of the grid's cells free")
-        return tuple.__new__(
+        config = tuple.__new__(
             cls,
             (message_delay, tick_budget, grid_cols, grid_rows, team_sizes,
              trials_per_size, min_task_separation, seed),
         )
+        config.workspace()  # checks the grid against the cell ceiling
+        return config
 
     def workspace(self) -> Workspace:
         return Workspace(
@@ -195,20 +197,11 @@ class TickTrace(NamedTuple):
     positions: dict[int, GridCell]
 
 
-class TrialOutcome:
-    __slots__ = ("record", "plan", "messages", "trace")
-
-    def __init__(
-        self,
-        record: TrialRecord,
-        plan: RelayPlan,
-        messages: list[HandoffMessage],
-        trace: list[TickTrace] | None = None,
-    ) -> None:
-        self.record = record
-        self.plan = plan
-        self.messages = messages
-        self.trace = trace
+class TrialOutcome(NamedTuple):
+    record: TrialRecord
+    plan: RelayPlan
+    messages: list[HandoffMessage]
+    trace: list[TickTrace] | None = None
 
 
 # --- trial generation --------------------------------------------------------

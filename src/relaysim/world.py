@@ -16,7 +16,6 @@ from .geometry import (
     _is_int,
     point_from_list,
     workspace_from_dict,
-    workspace_to_dict,
 )
 
 _WS_RE = re.compile(r"\s+")
@@ -27,29 +26,24 @@ class GridCell(NamedTuple):
     row: int
 
 
-class OccupancyGrid:
+class _OccupancyGridFields(NamedTuple):
+    workspace: Workspace
+    blocked: frozenset[GridCell]
+
+
+class OccupancyGrid(_OccupancyGridFields):
     """A workspace's grid and its blocked cells. Its fields are read-only, so
-    the figures it caches on first use stay true."""
+    the figures it caches on first use stay true; it has no `__slots__`, so
+    its instance dict holds them."""
 
-    def __init__(self, workspace: Workspace, blocked: frozenset[GridCell] = frozenset()) -> None:
-        vars(self).update(workspace=workspace, blocked=blocked)
+    def __new__(
+        cls, workspace: Workspace, blocked: frozenset[GridCell] = frozenset()
+    ) -> OccupancyGrid:
+        grid = tuple.__new__(cls, (workspace, blocked))
         for c in blocked:
-            if not self.in_bounds(c):
+            if not grid.in_bounds(c):
                 raise CellOutOfBounds(f"blocked cell {c} out of bounds")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to OccupancyGrid.{name}")
-
-    def __repr__(self) -> str:
-        return f"OccupancyGrid(workspace={self.workspace!r}, blocked={self.blocked!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OccupancyGrid):
-            return NotImplemented
-        return (self.workspace, self.blocked) == (other.workspace, other.blocked)
-
-    def __hash__(self) -> int:
-        return hash((self.workspace, self.blocked))
+        return grid
 
     @property
     def cols(self) -> int:
@@ -111,15 +105,8 @@ def normalize_zone_name(name: str) -> str:
     return _WS_RE.sub(" ", name.strip().lower())
 
 
-class _SemanticMapFields(NamedTuple):
+class SemanticMap(NamedTuple):
     zones: dict[str, Point]  # keys normalized
-
-
-class SemanticMap(_SemanticMapFields):
-    __slots__ = ()
-
-    def __new__(cls, zones: dict[str, Point] | None = None) -> SemanticMap:
-        return tuple.__new__(cls, ({} if zones is None else zones,))
 
     @staticmethod
     def from_raw(raw: dict[str, Point]) -> "SemanticMap":
@@ -130,9 +117,6 @@ class SemanticMap(_SemanticMapFields):
                 raise ValueError(f"duplicate zone name after normalization: {key!r}")
             zones[key] = anchor
         return SemanticMap(zones=zones)
-
-    def zone_names(self) -> list[str]:
-        return sorted(self.zones)
 
 
 def resolve_zone(name: str, smap: SemanticMap) -> Point:
@@ -153,14 +137,6 @@ def load_semantic_map(path: str | Path) -> tuple[SemanticMap, Workspace]:
         if not workspace.contains(anchor):
             raise ValueError(f"zone {name!r} anchor ({anchor.x}, {anchor.y}) outside the workspace")
     return smap, workspace
-
-
-def dump_semantic_map(smap: SemanticMap, workspace: Workspace) -> str:
-    data = {
-        "zones": {name: [p.x, p.y] for name, p in sorted(smap.zones.items())},
-        "workspace": workspace_to_dict(workspace),
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def load_occupancy(path: str | Path, workspace: Workspace) -> OccupancyGrid:

@@ -26,7 +26,7 @@ from relaysim.geometry import (
 from relaysim.nlu import parse_command
 from relaysim.planning import astar
 from relaysim.simulation import SimConfig, generate_trial, run_batch, run_trial
-from relaysim.world import GridCell, OccupancyGrid, cell_of, dump_semantic_map
+from relaysim.world import GridCell, OccupancyGrid, cell_of
 from oracles import bfs_shortest_moves, minimax_value_ternary, nearest_site_brute
 
 
@@ -141,7 +141,7 @@ def test_criterion_3_astar_matches_bfs(capsys):
         if expected is None:
             continue
         solvable += 1
-        if astar(grid, start, goal).length != expected:
+        if len(astar(grid, start, goal).cells) - 1 != expected:
             mismatches += 1
     _report(
         capsys,

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +13,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaysim import geometry, simulation
 from relaysim.cli import EXIT_EXECUTION, EXIT_OK, EXIT_OTHER, EXIT_PARSE, EXIT_PLANNING, main
@@ -17,7 +22,8 @@ from relaysim.geometry import Point, Workspace, compute_voronoi
 from relaysim.nlu import TaskSpec
 from relaysim.planning import build_relay_plan, plan_from_json
 from relaysim.render import render_plan_svg
-from relaysim.world import OccupancyGrid, dump_semantic_map
+from relaysim.world import OccupancyGrid
+from mapfiles import map_json
 from test_nlu import _Handler, mock_endpoint  # noqa: F401  (fixture)
 
 COMMAND = "bring the cup from the kitchen to the bedroom"
@@ -38,7 +44,7 @@ def _fresh_python(code: str, cwd: Path) -> dict:
 @pytest.fixture
 def map_file(five_zone_map, workspace20, tmp_path):
     path = tmp_path / "map.json"
-    path.write_text(dump_semantic_map(five_zone_map, workspace20), encoding="utf-8")
+    path.write_text(map_json(five_zone_map, workspace20), encoding="utf-8")
     return str(path)
 
 
@@ -451,6 +457,8 @@ class TestMalformedInput:
             (RUN_MAP, _map(min=[20, 0])),
             (RUN_MAP, _map(max=[20, 1e300])),
             (RUN_MAP, _map(max=[1e300, 20])),
+            (RUN_MAP, _map(cols=geometry.MAX_GRID_CELLS + 1, rows=1)),
+            (RUN_MAP, _map(max=[5e-324, 20], zones={"kitchen": [0, 17.5], "bedroom": [0, 2.5]})),
             (RUN_MAP, _map(zones={"kitchen": [math.nan, 17.5], "bedroom": [17.5, 2.5]})),
             (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
                                   "bedroom": [17.5, 2.5]})),
@@ -485,7 +493,8 @@ class TestMalformedInput:
              "fractional-robot-ids", "boolean-robot-id", "nan-robot-coordinate",
              "boolean-map-cols", "fractional-map-cols", "zero-map-cols",
              "map-min-not-below-max", "map-too-tall-for-squared-distances",
-             "map-too-wide-for-squared-distances", "nan-zone-anchor",
+             "map-too-wide-for-squared-distances", "map-one-cell-over-the-ceiling",
+             "map-cells-of-zero-width", "nan-zone-anchor",
              "zones-equal-after-normalization",
              "diagram-with-duplicate-site-id", "string-and-boolean-robot-coordinates",
              "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
@@ -556,6 +565,100 @@ class TestUsage:
         assert main(["batch", "--seed", "3", "--trials", "1", "--team-sizes", "399"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_repeated_team_size_flag_exits_2(self, capsys, monkeypatch):
+        def run_batch(*args, **kwargs):
+            pytest.fail("run_batch ran although a team size repeats")
+
+        monkeypatch.setattr(simulation, "run_batch", run_batch)
+        assert main(["batch", "--seed", "1", "--trials", "2", "--team-sizes", "3,3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: team_sizes must not repeat a size"
+        ]
+
+
+# JSON values a mutation writes: small numbers, the float extremes, other types
+MUTANTS = [0, 1, 2, 3, -1, 20, 0.5, 2.5, -0.0, 5e-324, 1e300, -1e300, sys.float_info.max,
+           math.inf, -math.inf, math.nan, True, False, None, "", "kitchen", [], [2.5, 17.5], {}]
+
+
+def _mutate(data, path, op, value):
+    """Edit the node that `path` leads to: an int step picks a child by
+    position (modulo their count, dict keys sorted), a str step by key."""
+    parent = key = None
+    node = data
+    for step in path:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, step if isinstance(step, str) else keys[step % len(keys)]
+        node = node[key]
+    value = copy.deepcopy(value)  # MUTANTS' lists and dicts stay as they are
+    if parent is None:
+        return value if op == "replace" else data
+    if op == "replace":
+        parent[key] = value
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    else:  # a second key, which for a zone is the same name after normalization
+        parent[key + " "] = copy.deepcopy(node)
+    return data
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """The map, robots and plan files of one `relaysim plan` on a 20x20
+    three-zone map, and a config with a small tick budget."""
+    d = tmp_path_factory.mktemp("run_inputs")
+    data = {
+        "map": _map(zones={"kitchen": [2.5, 17.5], "bedroom": [17.5, 2.5], "hall": [10.5, 10.5]}),
+        "robots": [[0, 5.5, 14.5], [1, 14.5, 5.5], [2, 10.5, 10.5]],
+    }
+    for name in data:
+        (d / f"{name}.json").write_text(json.dumps(data[name]), encoding="utf-8")
+    (d / "config.json").write_text(json.dumps({"tick_budget": 100}), encoding="utf-8")
+    args = ["--command", COMMAND, "--map", str(d / "map.json"), "--robots", str(d / "robots.json")]
+    assert main(["plan", *args, "--out", str(d / "plan.json")]) == EXIT_OK
+    data["plan"] = json.loads((d / "plan.json").read_text(encoding="utf-8"))
+    return d, data
+
+
+class TestAnyRunInput:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        target=st.sampled_from(["map", "robots", "plan"]),
+        edits=st.lists(
+            st.tuples(st.lists(st.integers(0, 7), max_size=4),
+                      st.sampled_from(["replace", "delete", "duplicate"]),
+                      st.sampled_from(MUTANTS)),
+            min_size=1, max_size=2,
+        ),
+    )
+    @example(target="map", edits=[(["workspace", "max", 1], "replace", 1e300)])
+    @example(target="map", edits=[(["workspace", "cols"], "replace", geometry.MAX_GRID_CELLS + 1),
+                                  (["workspace", "rows"], "replace", 1)])
+    def test_runs_or_fails_with_one_error_line(self, run_inputs, target, edits):
+        d, data = run_inputs
+        mutated = copy.deepcopy(data[target])
+        for path, op, value in edits:
+            mutated = _mutate(mutated, path, op, value)
+        bad = d / "bad.json"
+        bad.write_text(json.dumps(mutated), encoding="utf-8")
+        files = {name: str(d / f"{name}.json") for name in data}
+        files[target] = str(bad)
+        if target == "plan":
+            source = ["--plan", files["plan"]]
+        else:
+            source = ["--command", COMMAND, "--map", files["map"], "--robots", files["robots"]]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", *source, "--config", str(d / "config.json"),
+                         "--out", str(d / "record.jsonl")])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_PLANNING, EXIT_EXECUTION)
+        err = stderr.getvalue().splitlines()
+        assert len(err) == (code != EXIT_OK) and all(e.startswith("error: ") for e in err)
 
 
 class TestExternalInterpreter:

@@ -38,11 +38,11 @@ def random_team(rng, n, grid):
 class TestAstar:
     def test_straight_corridor(self, grid20):
         path = astar(grid20, GridCell(0, 0), GridCell(0, 5))
-        assert path.length == 5
+        assert len(path.cells) - 1 == 5
 
     def test_start_equals_goal(self, grid20):
         path = astar(grid20, GridCell(4, 4), GridCell(4, 4))
-        assert path.length == 0
+        assert len(path.cells) - 1 == 0
         assert path.cells == (GridCell(4, 4),)
 
     def test_blocked_endpoint(self, workspace20):
@@ -74,7 +74,7 @@ class TestAstar:
                     astar(grid, start, goal)
                 continue
             path = astar(grid, start, goal)
-            assert path.length == expected
+            assert len(path.cells) - 1 == expected
             assert path.cells[0] == start and path.cells[-1] == goal
             for a, b in zip(path.cells, path.cells[1:]):
                 assert abs(a.col - b.col) + abs(a.row - b.row) == 1
@@ -287,8 +287,8 @@ class TestSingleAgentBaseline:
         base = single_agent_baseline(task, robots, d, grid20)
         x = dict(robots)[base.active[0]]
         pickup, drop = base.legs
-        leg1 = astar(grid20, cell_of(x, grid20), cell_of(pickup, grid20)).length
-        leg2 = astar(grid20, cell_of(pickup, grid20), cell_of(drop, grid20)).length
+        leg1 = len(astar(grid20, cell_of(x, grid20), cell_of(pickup, grid20)).cells) - 1
+        leg2 = len(astar(grid20, cell_of(pickup, grid20), cell_of(drop, grid20)).cells) - 1
         assert leg1 == bfs_shortest_moves(grid20, cell_of(x, grid20), cell_of(pickup, grid20))
         assert leg2 == bfs_shortest_moves(grid20, cell_of(pickup, grid20), cell_of(drop, grid20))
 

@@ -579,10 +579,16 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SimConfig(team_sizes=sizes)
     assert SimConfig(team_sizes=(398,)).team_sizes == (398,)
+    with pytest.raises(ValueError, match="repeat"):
+        SimConfig(team_sizes=(3, 3))
+    for seed in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
     for dims in ({"grid_cols": 0}, {"grid_rows": -1}, {"grid_cols": 2.5}, {"grid_rows": "20"},
-                 {"grid_cols": True}):
+                 {"grid_cols": True}, {"grid_cols": geometry.MAX_GRID_CELLS + 1, "grid_rows": 1}):
         with pytest.raises(ValueError):
             SimConfig(**dims)
+    assert SimConfig(grid_cols=geometry.MAX_GRID_CELLS, grid_rows=1).grid_rows == 1
     # the area less the pickup's and the drop's cells: 3 x 4 - 2
     small = {"grid_cols": 3, "grid_rows": 4, "min_task_separation": 1.0}
     assert SimConfig(team_sizes=(10,), **small).team_sizes == (10,)
@@ -603,8 +609,8 @@ def test_config_validation():
 
 
 def test_config_from_dict_round_trip():
-    cfg = SimConfig.from_dict(
-        {"team_sizes": [1, 3], "trials_per_size": 2, "seed": 42, "min_task_separation": 8.0}
+    cfg = SimConfig(
+        **{"team_sizes": [1, 3], "trials_per_size": 2, "seed": 42, "min_task_separation": 8.0}
     )
     assert cfg.team_sizes == (1, 3)
     assert cfg.seed == 42

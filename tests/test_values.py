@@ -84,7 +84,6 @@ def test_defaults_and_checks():
     assert RunConfig() == RunConfig(0, None)
     assert isinstance(SimConfig(), RunConfig)
     assert SimConfig(team_sizes=[1, 2]).team_sizes == (1, 2)
-    assert SemanticMap().zones == {} and SemanticMap().zones is not SemanticMap().zones
     assert OccupancyGrid(WS).blocked == frozenset()
     for x, y in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
         with pytest.raises(ValueError):

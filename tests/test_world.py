@@ -13,11 +13,11 @@ from relaysim.world import (
     SemanticMap,
     cell_of,
     center_of,
-    dump_semantic_map,
     load_occupancy,
     load_semantic_map,
     resolve_zone,
 )
+from mapfiles import map_json
 
 
 class TestCellOf:
@@ -94,11 +94,11 @@ class TestSemanticMap:
 
     def test_file_round_trip(self, five_zone_map, workspace20, tmp_path):
         path = tmp_path / "map.json"
-        path.write_text(dump_semantic_map(five_zone_map, workspace20), encoding="utf-8")
+        path.write_text(map_json(five_zone_map, workspace20), encoding="utf-8")
         smap, ws = load_semantic_map(path)
         assert smap.zones == five_zone_map.zones
         assert ws == workspace20
-        assert dump_semantic_map(smap, ws) == path.read_text(encoding="utf-8")
+        assert map_json(smap, ws) == path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("anchor", [[20.0, 17.5], [2.5, 20.0], [25, 17.5], [-1, 2.5]])
     def test_anchor_outside_half_open_extent_names_the_zone(self, anchor, workspace20, tmp_path):
