@@ -238,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.func is cmd_run and args.command and not (args.map and args.robots):
         parser.error("run --command requires --map and --robots")
+    if args.func is cmd_run and args.plan and (args.map or args.robots or args.endpoint):
+        parser.error("run --plan takes no --map, --robots or --endpoint")
     try:
         return args.func(args)
     except RelaysimError as exc:

@@ -467,6 +467,8 @@ def diagram_from_json(text: str) -> VoronoiDiagram:
     """A stored diagram; its clip returns each cell's stored vertices."""
     data = json.loads(text)
     cells = data["cells"]
+    if not cells:
+        raise ValueError("a diagram needs at least one cell")
     workspace = workspace_from_dict(data["workspace"])
     sites = robots_from_list([[c["site_id"], *c["site"]] for c in cells], workspace)
     vertices = {c["site_id"]: tuple(point_from_list(v) for v in c["vertices"]) for c in cells}

@@ -254,15 +254,18 @@ def generate_trial(
 
 class _Robot:
     """Physical state of one robot of the relay chain, on row-major cell
-    indices. Its FSM owns the leg; simulate caches the cells where the FSM's
-    goal counts as reached after every fsm_step."""
+    indices. Its FSM owns the leg; `leg` holds the cells where the leg's
+    start and end count as reached, and `stops` is the one the FSM drives to."""
 
-    __slots__ = ("rid", "cell", "fsm", "route", "blocked_ticks", "moves", "stops")
+    __slots__ = ("rid", "cell", "fsm", "leg", "route", "blocked_ticks", "moves", "stops")
 
-    def __init__(self, rid: int, cell: int, fsm: RobotFsm) -> None:
+    def __init__(
+        self, rid: int, cell: int, fsm: RobotFsm, leg: tuple[tuple[int, ...], tuple[int, ...]]
+    ) -> None:
         self.rid = rid
         self.cell = cell
         self.fsm = fsm
+        self.leg = leg
         self.route: list[int] = []  # reversed: the next cell is last
         self.blocked_ticks = 0
         self.moves = 0
@@ -294,9 +297,11 @@ def _transfer_stops(
     return tuple(stops)
 
 
-def _build_robots(plan: RelayPlan, starts: dict[int, int], task_id: str) -> dict[int, _Robot]:
-    """A robot, with its leg's FSM, for each robot of the chain; bystanders
-    never act, so they stay start cells."""
+def _build_robots(
+    plan: RelayPlan, starts: dict[int, int], stops: list[tuple[int, ...]], task_id: str
+) -> dict[int, _Robot]:
+    """A robot, with its leg's FSM and stops, for each robot of the chain;
+    bystanders never act, so they stay start cells."""
     task = plan.task
     active = plan.active
     robots: dict[int, _Robot] = {}
@@ -313,7 +318,7 @@ def _build_robots(plan: RelayPlan, starts: dict[int, int], task_id: str) -> dict
             outgoing_transfer=plan.transfers[j] if not last else None,
             peer_next=active[j + 1] if not last else None,
         )
-        robots[rid] = _Robot(rid=rid, cell=starts[rid], fsm=fsm)
+        robots[rid] = _Robot(rid, starts[rid], fsm, (stops[j], stops[j + 1]))
     return robots
 
 
@@ -353,7 +358,12 @@ def simulate(
     cols = grid.cols
     # every robot's start cell; only the chain's robots move off theirs
     starts = {rid: _index(cell_of(pos, grid), cols) for rid, pos in placements}
-    robots = _build_robots(plan, starts, task_id)
+    # the stops of each of plan.legs, by position: the pickup and the drop
+    # stop on their own cell, every transfer on its transfer stops
+    ends = [_index(cell_of(p, grid), cols) for p in plan.legs]
+    task_cells = frozenset((ends[0], ends[-1]))
+    stops = [(ends[0],), *(_transfer_stops(c, grid, task_cells) for c in ends[1:-1]), (ends[-1],)]
+    robots = _build_robots(plan, starts, stops, task_id)
     # the chain by ascending id, the order in which every phase visits it; a
     # robot has stops only in NAVIGATE, and one without a free stop stays put
     chain = [robots[rid] for rid in sorted(robots)]
@@ -369,50 +379,45 @@ def simulate(
         if mask[cell]:
             raise InvalidStart(f"robot {rid} starts in the blocked cell {_cell(cell, cols)}")
         occupied[cell] = rid
-    cells = {p: _index(cell_of(p, grid), cols) for p in plan.legs}
-    task_cells = frozenset((cells[plan.task.pickup], cells[plan.task.drop]))
-    transfer_stops = {z: _transfer_stops(cells[z], grid, task_cells) for z in plan.transfers}
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     completed = False
     trace: list[TickTrace] | None = [] if record_trace else None
 
-    def snapshot(tick: int) -> None:
-        carriers = tuple(rb.rid for rb in chain if rb.fsm.carrying is not None)
-        positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
-        trace.append(TickTrace(tick, carriers, positions))
-
     def step(rb: _Robot, event: FsmEvent) -> None:
+        """Apply `event`, then each event that follows at once: arrival on
+        one of the robot's stops, the pickup, the drop."""
         nonlocal completed
-        rb.fsm, msgs = fsm_step(rb.fsm, event)
-        for m in msgs:
-            if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
-                completed = True
-                bus.log.append(m)
+        rb.route = []  # every event ends the leg or the wait it was routed for
+        while True:
+            rb.fsm, msgs = fsm_step(rb.fsm, event)
+            for m in msgs:
+                if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
+                    completed = True
+                    bus.log.append(m)
+                else:
+                    bus.send(m)
+            fsm = rb.fsm
+            state = fsm.state
+            rb.stops = rb.leg[fsm.carrying is not None] if state is RobotState.NAVIGATE else ()
+            if rb.cell in rb.stops:
+                kind = EventKind.ARRIVED_WAYPOINT
+            elif state is RobotState.PICKUP:
+                kind = EventKind.PICKUP_DONE
+            elif state is RobotState.DELIVER:
+                kind = EventKind.DROP_DONE
             else:
-                bus.send(m)
-        fsm = rb.fsm
-        goal = fsm.goal
-        if goal is None:
-            rb.stops = ()
-        elif goal == (fsm.drop_at if fsm.carrying is not None else fsm.pickup_at):
-            rb.stops = (cells[goal],)
-        else:
-            rb.stops = transfer_stops[goal]
+                return
+            event = FsmEvent(kind, event.tick)
 
-    def process_arrivals(rb: _Robot, tick: int) -> None:
-        # a single tick can chain arrivals when consecutive goals share a cell
-        while rb.fsm.state is RobotState.NAVIGATE and rb.cell in rb.stops:
-            rb.route = []
-            step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick=tick))
-            if rb.fsm.state is RobotState.PICKUP:
-                step(rb, FsmEvent(EventKind.PICKUP_DONE, tick=tick))
-            elif rb.fsm.state is RobotState.DELIVER:
-                step(rb, FsmEvent(EventKind.DROP_DONE, tick=tick))
+    for rb in chain:
+        step(rb, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
 
-    def deliver_messages(tick: int) -> None:
-        # messages wait in the bus until their robot relays at its transfer
-        progress = True
+    tick = 0
+    while True:
+        # message cascade: messages wait in the bus until their robot relays
+        # at its transfer, so delay 0 resolves a full handoff within the tick
+        progress = bus.pending()
         while progress:
             progress = False
             for rb in chain:
@@ -420,28 +425,20 @@ def simulate(
                     continue
                 for msg in bus.poll(rb.rid, tick):
                     here = center_of(_cell(rb.cell, cols), grid)
-                    step(
-                        rb,
-                        FsmEvent(EventKind.MESSAGE_RECEIVED, tick=tick, at=here, message=msg),
-                    )
-                    process_arrivals(rb, tick)
+                    step(rb, FsmEvent(EventKind.MESSAGE_RECEIVED, tick, here, msg))
                     progress = True
-
-    # tick 0: assign segments, then settle arrivals already satisfied
-    for rb in chain:
-        step(rb, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
-        process_arrivals(rb, 0)
-    if bus.pending():
-        deliver_messages(0)
-    if trace is not None:
-        snapshot(0)
-
-    tick = 0
-    while not completed and tick < budget:
+        if trace is not None:
+            carriers = tuple(rb.rid for rb in chain if rb.fsm.carrying is not None)
+            positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
+            trace.append(TickTrace(tick, carriers, positions))
+        if completed or tick >= budget:
+            break
         tick += 1
-        # movement phase: lower ids move first; occupied next cells mean waiting
+        # movement: lower ids move first, a robot waits behind an occupied
+        # next cell, and one that steps onto one of its stops arrives there
+        # (step settles every arrival, so no robot starts here on a stop)
         for rb in chain:
-            if not rb.stops or rb.cell in rb.stops:
+            if not rb.stops:
                 continue
             if not rb.route:
                 rb.route = _plan_route(rb, grid)
@@ -450,28 +447,17 @@ def simulate(
                 if detour:
                     rb.route = detour
                     rb.blocked_ticks = 0
-            if not rb.route:
+            if not rb.route or rb.route[-1] in occupied:
                 rb.blocked_ticks += 1
                 continue
-            nxt = rb.route[-1]
-            if nxt in occupied:
-                rb.blocked_ticks += 1
-                continue
+            nxt = rb.route.pop()
             del occupied[rb.cell]
-            rb.cell = nxt
             occupied[nxt] = rb.rid
-            rb.route.pop()
+            rb.cell = nxt
             rb.moves += 1
             rb.blocked_ticks = 0
-        # arrival + FSM phase
-        for rb in chain:
-            if rb.cell in rb.stops:
-                process_arrivals(rb, tick)
-        # message cascade (delay 0 resolves a full handoff within the tick)
-        if bus.pending():
-            deliver_messages(tick)
-        if trace is not None:
-            snapshot(tick)
+            if nxt in rb.stops:
+                step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick))
 
     per_agent = {rid: robots[rid].moves for rid in plan.active}
     record = TrialRecord(
@@ -542,6 +528,8 @@ def summarize(records: list[TrialRecord]) -> BatchSummary:
     # imported here: only the batch path summarizes, so `relaysim run` never loads statistics
     from statistics import mean, pstdev
 
+    if not records:
+        raise NoCompletedTrials("no trials to summarize")
     by_size: dict[int, list[TrialRecord]] = {}
     for rec in records:
         by_size.setdefault(rec.team_size, []).append(rec)

@@ -192,6 +192,55 @@ class TestRun:
             "error: robots 0 and 1 start in the same cell GridCell(col=5, row=10)"
         ]
 
+    @staticmethod
+    def run_from_the_pickup_cell(zones, command, tmp_path, monkeypatch):
+        """Run `command` with robot 0 on the pickup's cell; the record, the
+        message log and each FSM event as (robot, kind, tick)."""
+        events = []
+        real = simulation.fsm_step
+
+        def recording(fsm, event):
+            events.append((fsm.robot_id, event.kind.value, event.tick))
+            return real(fsm, event)
+
+        monkeypatch.setattr(simulation, "fsm_step", recording)
+        paths = {n: tmp_path / f"{n}.json" for n in ("map", "robots", "rec", "msgs")}
+        paths["map"].write_text(json.dumps(_map(zones=zones)), encoding="utf-8")
+        paths["robots"].write_text(json.dumps([[0, 2.5, 2.5], [1, 15.5, 15.5]]), encoding="utf-8")
+        code = main(
+            ["run", "--command", command, "--map", str(paths["map"]),
+             "--robots", str(paths["robots"]), "--out", str(paths["rec"]),
+             "--messages", str(paths["msgs"])]
+        )
+        assert code == EXIT_OK
+        rec = json.loads(paths["rec"].read_text(encoding="utf-8"))
+        log = [json.loads(l) for l in paths["msgs"].read_text(encoding="utf-8").splitlines()]
+        return rec, [(m["kind"], m["from"], m["tick"]) for m in log], events
+
+    def test_pickup_and_drop_in_one_cell_complete_at_tick_0(self, tmp_path, monkeypatch):
+        rec, log, events = self.run_from_the_pickup_cell(
+            {"C": [2.2, 2.2], "D": [2.7, 2.7]}, "bring the cup from C to D", tmp_path, monkeypatch
+        )
+        assert (rec["completed"], rec["ticks"], rec["total_moves"]) == (True, 0, 0)
+        assert log == [("TaskComplete", 0, 0)]
+        assert events == [
+            (0, "AssignSegment", 0), (0, "ArrivedWaypoint", 0), (0, "PickupDone", 0),
+            (0, "ArrivedWaypoint", 0), (0, "DropDone", 0),
+        ]
+
+    def test_robot_on_the_pickup_cell_picks_up_at_tick_0(self, tmp_path, monkeypatch):
+        rec, log, events = self.run_from_the_pickup_cell(
+            {"A": [2.5, 2.5], "B": [17.5, 17.5]}, "bring the cup from A to B", tmp_path, monkeypatch
+        )
+        assert (rec["completed"], rec["ticks"], rec["per_agent_moves"]) == (
+            True, 28, {"0": 13, "1": 26}
+        )
+        assert log == [("HandoffReady", 0, 13), ("HandoffAck", 1, 13), ("TaskComplete", 1, 28)]
+        assert [e for e in events if e[2] == 0] == [
+            (0, "AssignSegment", 0), (0, "ArrivedWaypoint", 0), (0, "PickupDone", 0),
+            (1, "AssignSegment", 0),
+        ]
+
     def test_budget_exceeded_exit_code(self, map_file, robots_file, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tick_budget": 1}), encoding="utf-8")
@@ -463,6 +512,8 @@ class TestMalformedInput:
             (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
                                   "bedroom": [17.5, 2.5]})),
             (["render", "--diagram", "{bad}", "--svg", "{svg}"], DUPLICATE_ID_DIAGRAM),
+            (["render", "--diagram", "{bad}", "--svg", "{svg}"],
+             {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}, "cells": []}),
             (RUN_ROBOTS, [[0, "5.5", 10.5], [1, True, 10.5]]),
             (RUN_ROBOTS, "[[0, 5.5, 1" + "0" * 400 + "], [1, 15.5, 10.5]]"),
             (RUN_MAP, _map_with_kitchen_at("2.5", "17.5")),
@@ -496,7 +547,8 @@ class TestMalformedInput:
              "map-too-wide-for-squared-distances", "map-one-cell-over-the-ceiling",
              "map-cells-of-zero-width", "nan-zone-anchor",
              "zones-equal-after-normalization",
-             "diagram-with-duplicate-site-id", "string-and-boolean-robot-coordinates",
+             "diagram-with-duplicate-site-id", "diagram-with-no-cells",
+             "string-and-boolean-robot-coordinates",
              "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
              "plan-string-baseline-flag", "plan-string-fallback-flag", "plan-numeric-item",
              "plan-list-source-text", "seed-in-batch-config"],
@@ -545,6 +597,9 @@ class TestUsage:
             ["batch", "--seed", "1", "--team-sizes", ""],
             ["batch", "--seed", "1", "--team-sizes", "0"],
             ["batch", "--seed", "1", "--team-sizes", "1,x"],
+            ["run", "--plan", "plan.json", "--map", "map.json"],
+            ["run", "--plan", "plan.json", "--robots", "robots.json"],
+            ["run", "--plan", "plan.json", "--endpoint", "http://localhost:9"],
         ],
     )
     def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys, monkeypatch):

@@ -552,6 +552,10 @@ class TestRunBatch:
         with pytest.raises(NoCompletedTrials):
             summarize(records)
 
+    def test_summarize_rejects_no_records(self):
+        with pytest.raises(NoCompletedTrials):
+            summarize([])
+
 
 def test_summary_csv_shape():
     summary, _, _ = run_batch(SimConfig(team_sizes=(1, 3), trials_per_size=3, seed=9))
