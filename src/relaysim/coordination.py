@@ -68,7 +68,7 @@ class HandoffMessage(NamedTuple):
 
 class EventKind(str, Enum):
     ASSIGN_SEGMENT = "AssignSegment"
-    ARRIVED_WAYPOINT = "ArrivedWaypoint"  # at the FSM's goal
+    ARRIVED_WAYPOINT = "ArrivedWaypoint"  # at the leg's start or end
     PICKUP_DONE = "PickupDone"
     MESSAGE_RECEIVED = "MessageReceived"
     DROP_DONE = "DropDone"
@@ -82,29 +82,19 @@ class FsmEvent(NamedTuple):
 
 
 class RobotFsm(NamedTuple):
-    """One robot's protocol state. Its relay leg starts at the pickup or its
-    incoming transfer point and ends at its outgoing transfer point or the
-    drop; a robot with neither start is a bystander."""
+    """One robot's protocol state, and the facts of its relay leg that the
+    transitions read: whether the leg starts at the pickup, where it ends
+    (the outgoing transfer point, or the drop) and the robot it hands the
+    item to there. A robot without a leg end is a bystander."""
 
     robot_id: int
     state: RobotState = RobotState.IDLE
     carrying: str | None = None
     task_id: str = ""
     item: str = ""
-    pickup_at: Point | None = None
-    drop_at: Point | None = None
-    outgoing_transfer: Point | None = None
-    incoming_transfer: Point | None = None
-    peer_next: int | None = None  # robot we hand the item to
-
-    @property
-    def goal(self) -> Point | None:
-        """Where the robot drives to while in NAVIGATE; None in any other state."""
-        if self.state is not RobotState.NAVIGATE:
-            return None
-        if self.carrying is None:
-            return self.pickup_at if self.pickup_at is not None else self.incoming_transfer
-        return self.outgoing_transfer if self.outgoing_transfer is not None else self.drop_at
+    picks_up: bool = False
+    leg_end: Point | None = None
+    peer_next: int | None = None  # robot we hand the item to; None: we deliver it
 
     @property
     def status_led(self) -> LedStatus:
@@ -131,7 +121,7 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
     carrying = fsm.carrying is not None
 
     if k == EventKind.ASSIGN_SEGMENT:
-        if s is not RobotState.IDLE or (fsm.pickup_at is None and fsm.incoming_transfer is None):
+        if s is not RobotState.IDLE or fsm.leg_end is None:
             raise IllegalTransition(f"AssignSegment in state {s} for robot {fsm.robot_id}")
         return _moved(fsm, RobotState.NAVIGATE, fsm.carrying), []
 
@@ -139,16 +129,16 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
         if s is not RobotState.NAVIGATE:
             raise IllegalTransition(f"ArrivedWaypoint in state {s}")
         if not carrying:  # at the pickup, or at the incoming transfer to wait
-            state = RobotState.PICKUP if fsm.pickup_at is not None else RobotState.RELAY
+            state = RobotState.PICKUP if fsm.picks_up else RobotState.RELAY
             return _moved(fsm, state, fsm.carrying), []
-        if fsm.outgoing_transfer is None:
+        if fsm.peer_next is None:
             return _moved(fsm, RobotState.DELIVER, fsm.carrying), []
         ready = HandoffMessage(
             kind=MessageKind.HANDOFF_READY,
             task_id=fsm.task_id,
             from_id=fsm.robot_id,
             to_id=fsm.peer_next,
-            at=fsm.outgoing_transfer,
+            at=fsm.leg_end,
             tick=event.tick,
         )
         return _moved(fsm, RobotState.RELAY, fsm.carrying), [ready]
@@ -184,7 +174,7 @@ def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMess
             task_id=fsm.task_id,
             from_id=fsm.robot_id,
             to_id=fsm.robot_id,
-            at=fsm.drop_at,
+            at=fsm.leg_end,
             tick=event.tick,
         )
         return _moved(fsm, RobotState.IDLE, None), [done]

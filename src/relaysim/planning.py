@@ -189,6 +189,24 @@ def single_agent_baseline(
     )
 
 
+def check_plan(plan: RelayPlan, robots: list[tuple[int, Point]]) -> None:
+    """Raise ValueError unless the plan's chain is non-empty, names no robot
+    twice and only placed robots, and has one transfer and one fallback flag
+    per consecutive pair."""
+    active = plan.active
+    if not active:
+        raise ValueError("empty active chain")
+    if len(set(active)) != len(active):
+        raise ValueError("a robot appears twice in the active chain")
+    missing = set(active) - {rid for rid, _ in robots}
+    if missing:
+        raise ValueError(f"active robots {sorted(missing)} not in robots")
+    if len(plan.transfers) != len(active) - 1:
+        raise ValueError(f"{len(active)} active robots need {len(active) - 1} transfers")
+    if len(plan.transfer_fallback) != len(plan.transfers):
+        raise ValueError("transfer_fallback must have one flag per transfer")
+
+
 # --- serialization -----------------------------------------------------------
 
 
@@ -227,16 +245,5 @@ def plan_from_json(text: str) -> tuple[RelayPlan, list[tuple[int, Point]], Works
     for name, p in points:
         if not workspace.contains(p):
             raise ValueError(f"{name} at ({p.x}, {p.y}) outside the workspace")
-    active = plan.active
-    if not active:
-        raise ValueError("empty active chain")
-    if len(set(active)) != len(active):
-        raise ValueError("a robot appears twice in the active chain")
-    missing = set(active) - {rid for rid, _ in robots}
-    if missing:
-        raise ValueError(f"active robots {sorted(missing)} not in robots")
-    if len(plan.transfers) != len(active) - 1:
-        raise ValueError(f"{len(active)} active robots need {len(active) - 1} transfers")
-    if len(plan.transfer_fallback) != len(plan.transfers):
-        raise ValueError("transfer_fallback must have one flag per transfer")
+    check_plan(plan, robots)
     return plan, robots, workspace

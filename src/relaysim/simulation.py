@@ -25,7 +25,7 @@ from .coordination import (
 from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, PlacementExhausted
 from .geometry import Point, Workspace, _is_int, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
-from .planning import RelayPlan, astar, build_relay_plan, single_agent_baseline
+from .planning import RelayPlan, astar, build_relay_plan, check_plan, single_agent_baseline
 from .world import GridCell, OccupancyGrid, cell_of, center_of
 
 # ticks a robot waits behind an occupied cell before replanning around it
@@ -302,21 +302,17 @@ def _build_robots(
 ) -> dict[int, _Robot]:
     """A robot, with its leg's FSM and stops, for each robot of the chain;
     bystanders never act, so they stay start cells."""
-    task = plan.task
     active = plan.active
+    legs = plan.legs
     robots: dict[int, _Robot] = {}
-    for j, rid in enumerate(active):
-        first = j == 0
-        last = j == len(active) - 1
+    for j, (rid, nxt) in enumerate(zip(active, (*active[1:], None))):
         fsm = RobotFsm(
             robot_id=rid,
             task_id=task_id,
-            item=task.item,
-            pickup_at=task.pickup if first else None,
-            drop_at=task.drop if last else None,
-            incoming_transfer=plan.transfers[j - 1] if not first else None,
-            outgoing_transfer=plan.transfers[j] if not last else None,
-            peer_next=active[j + 1] if not last else None,
+            item=plan.task.item,
+            picks_up=j == 0,
+            leg_end=legs[j + 1],
+            peer_next=nxt,
         )
         robots[rid] = _Robot(rid, starts[rid], fsm, (stops[j], stops[j + 1]))
     return robots
@@ -353,7 +349,9 @@ def simulate(
     record_trace: bool = False,
 ) -> TrialOutcome:
     """Run one relay plan to completion, or until the tick budget runs out
-    (config.tick_budget, else 10 * the grid's area)."""
+    (config.tick_budget, else 10 * the grid's area). A plan that does not fit
+    `placements` (see `planning.check_plan`) raises ValueError."""
+    check_plan(plan, placements)
     bus = MessageBus(delay=config.message_delay)
     cols = grid.cols
     # every robot's start cell; only the chain's robots move off theirs
@@ -381,22 +379,16 @@ def simulate(
         occupied[cell] = rid
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
-    completed = False
     trace: list[TickTrace] | None = [] if record_trace else None
 
     def step(rb: _Robot, event: FsmEvent) -> None:
         """Apply `event`, then each event that follows at once: arrival on
         one of the robot's stops, the pickup, the drop."""
-        nonlocal completed
         rb.route = []  # every event ends the leg or the wait it was routed for
         while True:
             rb.fsm, msgs = fsm_step(rb.fsm, event)
             for m in msgs:
-                if m.kind is MessageKind.TASK_COMPLETE:  # logged, never sent
-                    completed = True
-                    bus.log.append(m)
-                else:
-                    bus.send(m)
+                bus.send(m)
             fsm = rb.fsm
             state = fsm.state
             rb.stops = rb.leg[fsm.carrying is not None] if state is RobotState.NAVIGATE else ()
@@ -431,6 +423,9 @@ def simulate(
             carriers = tuple(rb.rid for rb in chain if rb.fsm.carrying is not None)
             positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
             trace.append(TickTrace(tick, carriers, positions))
+        # the trial is complete once its TaskComplete is logged; it is the
+        # last message, as every other robot has handed the item on by then
+        completed = bool(bus.log) and bus.log[-1].kind is MessageKind.TASK_COMPLETE
         if completed or tick >= budget:
             break
         tick += 1

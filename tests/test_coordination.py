@@ -14,7 +14,6 @@ from relaysim.coordination import (
 from relaysim.errors import IllegalTransition
 from relaysim.geometry import Point
 
-PICKUP = Point(2.5, 17.5)
 TRANSFER = Point(10.0, 10.0)
 DROP = Point(17.5, 2.5)
 
@@ -24,8 +23,8 @@ def initiator_fsm(**overrides):
         robot_id=1,
         task_id="t1",
         item="glass of water",
-        pickup_at=PICKUP,
-        outgoing_transfer=TRANSFER,
+        picks_up=True,
+        leg_end=TRANSFER,
         peer_next=2,
     )
     base.update(overrides)
@@ -37,8 +36,7 @@ def final_fsm(**overrides):
         robot_id=2,
         task_id="t1",
         item="glass of water",
-        incoming_transfer=TRANSFER,
-        drop_at=DROP,
+        leg_end=DROP,
     )
     base.update(overrides)
     return RobotFsm(**base)
@@ -55,10 +53,8 @@ def received(msg, tick=9, at=None):
 class TestFsmStep:
     def test_assign_segment_starts_navigation(self):
         fsm = initiator_fsm()
-        assert fsm.goal is None
         nxt, out = fsm_step(fsm, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
         assert nxt.state is RobotState.NAVIGATE
-        assert nxt.goal == PICKUP
         assert nxt.status_led is LedStatus.OFF
         assert out == []
 
@@ -66,7 +62,6 @@ class TestFsmStep:
         fsm = initiator_fsm(state=RobotState.NAVIGATE)
         nxt, out = fsm_step(fsm, arrived(3))
         assert nxt.state is RobotState.PICKUP
-        assert nxt.goal is None
         assert out == []
 
     def test_pickup_done_turns_led_green(self):
@@ -75,7 +70,6 @@ class TestFsmStep:
         assert nxt.state is RobotState.NAVIGATE
         assert nxt.carrying == "glass of water"
         assert nxt.status_led is LedStatus.GREEN
-        assert nxt.goal == TRANSFER
         assert out == []
 
     def test_carrier_at_transfer_emits_handoff_ready(self):
@@ -94,12 +88,10 @@ class TestFsmStep:
 
     def test_receiver_at_incoming_transfer_enters_relay(self):
         fsm = final_fsm(state=RobotState.NAVIGATE)
-        assert fsm.goal == TRANSFER
         nxt, out = fsm_step(fsm, arrived(7))
         assert nxt.state is RobotState.RELAY
         assert nxt.carrying is None
         assert nxt.status_led is LedStatus.BLUE
-        assert nxt.goal is None
         assert out == []
 
     def test_receiver_acks_and_takes_item(self):
@@ -109,7 +101,6 @@ class TestFsmStep:
         assert nxt.carrying == "glass of water"
         assert nxt.status_led is LedStatus.GREEN
         assert nxt.state is RobotState.NAVIGATE
-        assert nxt.goal == DROP
         assert len(out) == 1
         ack = out[0]
         assert ack.kind is MessageKind.HANDOFF_ACK
@@ -132,7 +123,6 @@ class TestFsmStep:
 
     def test_arrival_at_drop_then_drop_done_completes(self):
         fsm = final_fsm(state=RobotState.NAVIGATE, carrying="glass of water")
-        assert fsm.goal == DROP
         mid, out = fsm_step(fsm, arrived(20))
         assert mid.state is RobotState.DELIVER
         assert mid.status_led is LedStatus.GREEN
@@ -147,12 +137,10 @@ class TestFsmStep:
         assert out[0].status_led is LedStatus.OFF
 
     def test_solo_robot_goes_pickup_then_drop(self):
-        fsm = initiator_fsm(outgoing_transfer=None, peer_next=None, drop_at=DROP)
+        fsm = initiator_fsm(leg_end=DROP, peer_next=None)
         fsm, _ = fsm_step(fsm, FsmEvent(EventKind.ASSIGN_SEGMENT, tick=0))
-        assert fsm.goal == PICKUP
         fsm, _ = fsm_step(fsm, arrived(1))
         fsm, _ = fsm_step(fsm, FsmEvent(EventKind.PICKUP_DONE, tick=1))
-        assert fsm.goal == DROP
         fsm, out = fsm_step(fsm, arrived(5))
         assert fsm.state is RobotState.DELIVER
         assert out == []
@@ -175,7 +163,6 @@ class TestFsmStep:
 
     def test_bystander_never_assigned(self):
         fsm = RobotFsm(robot_id=7)
-        assert fsm.goal is None
         with pytest.raises(IllegalTransition):
             fsm_step(fsm, FsmEvent(EventKind.ASSIGN_SEGMENT, 0))
 

@@ -33,6 +33,22 @@ def _chebyshev(a: GridCell, b: GridCell) -> int:
     return max(abs(a.col - b.col), abs(a.row - b.row))
 
 
+def _assert_log_states_the_legs(out) -> None:
+    """The j-th HandoffReady goes from active[j] to active[j + 1] at
+    transfers[j], the one TaskComplete is sent by active[-1] at the drop, and
+    the run is complete exactly when that TaskComplete is the last message."""
+    plan, log = out.plan, out.messages
+    active = plan.active
+    readies = [(m.from_id, m.to_id, m.at) for m in log if m.kind is MessageKind.HANDOFF_READY]
+    legs = [(active[j], active[j + 1], z) for j, z in enumerate(plan.transfers)]
+    assert readies == legs[: len(readies)]
+    done = [m for m in log if m.kind is MessageKind.TASK_COMPLETE]
+    assert [(m.from_id, m.at) for m in done] == [(active[-1], plan.task.drop)][: len(done)]
+    assert out.record.completed == (len(done) == 1 and log[-1] is done[0])
+    if out.record.completed:
+        assert readies == legs
+
+
 class TestGenerateTrial:
     def test_deterministic_for_same_seed(self):
         a = generate_trial(5, SMALL, random.Random("k"))
@@ -157,6 +173,21 @@ class TestSingleTrials:
             k = len(plan.transfers)
             assert rec.ticks <= rec.total_moves + 6 * (k + 1) + 10
 
+    @pytest.mark.parametrize("tick_budget", [None, 20])
+    @pytest.mark.parametrize("message_delay", [0, 2])
+    def test_log_states_each_leg_and_the_completion(self, message_delay, tick_budget):
+        cfg = SimConfig(**dict(SMALL._asdict(), message_delay=message_delay,
+                               tick_budget=tick_budget))
+        completed = set()
+        for i in range(40):
+            placements, task = generate_trial((1, 3, 5, 10)[i % 4], cfg, random.Random(f"log/{i}"))
+            for baseline in (False, True):
+                out = run_trial(placements, task, cfg, baseline=baseline)
+                _assert_log_states_the_legs(out)
+                completed.add(out.record.completed)
+        # a 20-tick budget stops some runs before the drop and not others
+        assert completed == ({True} if tick_budget is None else {False, True})
+
     def test_budget_exhaustion_reports_incomplete(self):
         cfg = SimConfig(team_sizes=(1,), trials_per_size=1, seed=0, tick_budget=2)
         grid = OccupancyGrid(workspace=cfg.workspace())
@@ -204,6 +235,30 @@ class TestSingleTrials:
         walled = OccupancyGrid(workspace=workspace, blocked=frozenset({GridCell(5, 3)}))
         with pytest.raises(InvalidStart, match="robot 1 starts in the blocked cell"):
             simulate(plan, placements, walled, RunConfig())
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [
+            (dict(active=(0, 7)), r"active robots \[7\] not in robots"),
+            (dict(transfers=()), "2 active robots need 1 transfers"),
+            (dict(transfers=(Point(10.5, 10.5),) * 2), "2 active robots need 1 transfers"),
+            (dict(transfer_fallback=()), "one flag per transfer"),
+            (dict(active=(0, 0)), "a robot appears twice"),
+            (dict(active=(), transfers=(), transfer_fallback=()), "empty active chain"),
+        ],
+        ids=["active-robot-not-placed", "transfer-missing", "surplus-transfer",
+             "fallback-flag-missing", "robot-twice-in-chain", "empty-chain"],
+    )
+    def test_plan_that_does_not_fit_the_placements_is_rejected(self, change, error):
+        # README's library quick start: robot 0 hands over to robot 1
+        workspace = Workspace(Point(0.0, 0.0), Point(20.0, 20.0), 20, 20)
+        grid = OccupancyGrid(workspace=workspace)
+        placements = [(0, Point(5.5, 10.5)), (1, Point(15.5, 10.5))]
+        task = TaskSpec(Point(2.5, 17.5), Point(17.5, 2.5), "glass of water", "t")
+        plan = build_relay_plan(task, placements, compute_voronoi(placements, workspace), grid)
+        assert plan.active == (0, 1) and len(plan.transfers) == 1
+        with pytest.raises(ValueError, match=error):
+            simulate(plan._replace(**change), placements, grid, RunConfig())
 
     def test_only_the_chain_gets_an_fsm(self, monkeypatch):
         built = []
@@ -437,6 +492,11 @@ class TestObstacleMaps:
                 assert _chebyshev(cell, planned) <= 1
                 handoffs += 1
         assert handoffs > 100
+
+    def test_log_states_each_leg_and_the_completion(self, outcomes):
+        for _, out in outcomes:
+            _assert_log_states_the_legs(out)
+        assert any(len(out.plan.active) > 2 for _, out in outcomes)
 
     def test_records_message_logs_and_traces_digest(self, outcomes):
         h = hashlib.sha256()

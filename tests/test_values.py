@@ -44,9 +44,8 @@ VALUES = [
      (MessageKind.HANDOFF_READY, "t", 0, 1, P, 9)),
     (FsmEvent, ("kind", "tick", "at", "message"), (EventKind.PICKUP_DONE, 4, P, None)),
     (RobotFsm,
-     ("robot_id", "state", "carrying", "task_id", "item", "pickup_at", "drop_at",
-      "outgoing_transfer", "incoming_transfer", "peer_next"),
-     (3, RobotState.RELAY, "cup", "t", "cup", None, Q, P, None, 4)),
+     ("robot_id", "state", "carrying", "task_id", "item", "picks_up", "leg_end", "peer_next"),
+     (3, RobotState.RELAY, "cup", "t", "cup", False, P, 4)),
     (RunConfig, ("message_delay", "tick_budget"), (2, 50)),
     (SimConfig,
      ("message_delay", "tick_budget", "grid_cols", "grid_rows", "team_sizes",
