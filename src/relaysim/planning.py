@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BlockedEndpoint, CellOutOfBounds, NoPath
@@ -45,31 +46,67 @@ class RelayPlan(NamedTuple):
         return (self.task.pickup, *self.transfers, self.task.drop)
 
 
-def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
-    """Shortest 4-connected path, unit costs, Manhattan heuristic.
-
-    Ties broken by (f, h, row-major cell index) so results are deterministic.
-    On a grid with no blocked cell that tie-break always gives one L-shaped
-    path, returned without a search: if the start row is at or below the goal
-    row (start.row <= goal.row), along the start row to the goal column, then
-    along the goal column; otherwise along the start column to the goal row,
-    then along that row.
-    """
+def _check_endpoints(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> None:
     for c in (start, goal):
         if not grid.in_bounds(c):
             raise CellOutOfBounds(f"{c} out of bounds")
         if grid.is_blocked(c):
             raise BlockedEndpoint(f"{c} is blocked")
-    if not grid.blocked:
-        (c0, r0), (c1, r1) = (start.col, start.row), (goal.col, goal.row)
-        dc, dr = (1 if c1 >= c0 else -1), (1 if r1 >= r0 else -1)
-        if r0 <= r1:
-            cells = [GridCell(c, r0) for c in range(c0, c1 + dc, dc)]
-            cells += [GridCell(c1, r) for r in range(r0 + dr, r1 + dr, dr)]
+
+
+@lru_cache(maxsize=8)
+def _interned(cols: int, rows: int) -> list[GridCell | None]:
+    """Row-major: the one GridCell of each index of a cols x rows grid that
+    paths share, made on first use."""
+    return [None] * (cols * rows)
+
+
+def _cells(indices: list[int], cols: int, rows: int) -> tuple[GridCell, ...]:
+    interned = _interned(cols, rows)
+    path = []
+    for i in indices:
+        cell = interned[i]
+        if cell is None:
+            cell = interned[i] = GridCell(i % cols, i // cols)
+        path.append(cell)
+    return tuple(path)
+
+
+def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
+    """Shortest 4-connected path, unit costs, Manhattan heuristic.
+
+    Ties broken by (f, h, row-major cell index) so results are deterministic.
+    Where that tie-break's path only moves toward the goal it is walked
+    without a search: each step takes the free neighbour toward the goal with
+    the lower row-major index, which is the column step while the goal row is
+    below (higher) and the row step otherwise. Every walked cell has
+    f = h(start), and its neighbours toward the goal have the lowest h of any
+    heap entry, so the search would pop the same cells in the same order. A
+    walk with neither neighbour toward the goal free falls back to the search.
+    """
+    _check_endpoints(grid, start, goal)
+    cols, rows, mask = grid.cols, grid.rows, grid.blocked_mask
+    c, r, gcol, grow = start.col, start.row, goal.col, goal.row
+    cur, dst = r * cols + c, grow * cols + gcol
+    dc = 1 if gcol > c else -1
+    sr = 1 if grow > r else -1
+    dr = sr * cols
+    walk = [cur]
+    while cur != dst:
+        if c != gcol and not mask[cur + dc] and (r <= grow or mask[cur + dr]):
+            c += dc
+            cur += dc
+        elif r != grow and not mask[cur + dr]:
+            r += sr
+            cur += dr
         else:
-            cells = [GridCell(c0, r) for r in range(r0, r1 + dr, dr)]
-            cells += [GridCell(c, r1) for c in range(c0 + dc, c1 + dc, dc)]
-        return GridPath(cells=tuple(cells))
+            return _search(grid, start, goal)
+        walk.append(cur)
+    return GridPath(cells=_cells(walk, cols, rows))
+
+
+def _search(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
+    """The A* search itself, for endpoints that `astar` has checked."""
     # the search runs on row-major indices; a heap key packs (f, h, index)
     # into one int, as h < cols + rows and index < size
     cols, rows = grid.cols, grid.rows
@@ -82,37 +119,67 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     g = [size] * size  # no path is `size` moves long
     came = [-1] * size
     h0 = abs(start.col - gcol) + abs(start.row - grow)
-    g[src] = 0
     heap = [(h0 * span + h0) * size + src]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        cur = pop(heap) % size
+        key = pop(heap)
+        cur = key % size
         if closed[cur]:
             continue
         if cur == dst:
-            path = [goal]
-            cur = came[cur]
+            path = []
             while cur >= 0:
-                path.append(GridCell(cur % cols, cur // cols))
+                path.append(cur)
                 cur = came[cur]
             path.reverse()
-            return GridPath(cells=tuple(path))
+            return GridPath(cells=_cells(path, cols, rows))
         closed[cur] = 1
-        ng = g[cur] + 1
-        r, c = divmod(cur, cols)
-        hc, hr = abs(c - gcol), abs(r - grow)
+        key //= size
+        h = key % span
+        ng = key // span - h + 1
+        r = cur // cols
+        c = cur - r * cols
+        # a neighbour's h is h - 1 toward the goal and h + 1 away from it;
         # row-end tests keep a column step from wrapping into the next row
-        for ok, nb, hn in (
-            (r + 1 < rows, cur + cols, hc + abs(r + 1 - grow)),
-            (r > 0, cur - cols, hc + abs(r - 1 - grow)),
-            (c + 1 < cols, cur + 1, hr + abs(c + 1 - gcol)),
-            (c > 0, cur - 1, hr + abs(c - 1 - gcol)),
-        ):
-            if ok and not closed[nb] and ng < g[nb]:
+        if r + 1 < rows:
+            nb = cur + cols
+            if not closed[nb] and ng < g[nb]:
                 g[nb] = ng
                 came[nb] = cur
+                hn = h - 1 if r < grow else h + 1
+                push(heap, ((ng + hn) * span + hn) * size + nb)
+        if r > 0:
+            nb = cur - cols
+            if not closed[nb] and ng < g[nb]:
+                g[nb] = ng
+                came[nb] = cur
+                hn = h - 1 if r > grow else h + 1
+                push(heap, ((ng + hn) * span + hn) * size + nb)
+        if c + 1 < cols:
+            nb = cur + 1
+            if not closed[nb] and ng < g[nb]:
+                g[nb] = ng
+                came[nb] = cur
+                hn = h - 1 if c < gcol else h + 1
+                push(heap, ((ng + hn) * span + hn) * size + nb)
+        if c > 0:
+            nb = cur - 1
+            if not closed[nb] and ng < g[nb]:
+                g[nb] = ng
+                came[nb] = cur
+                hn = h - 1 if c > gcol else h + 1
                 push(heap, ((ng + hn) * span + hn) * size + nb)
     raise NoPath(f"no path from {start} to {goal}")
+
+
+def check_reachable(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> None:
+    """Raise what `astar(grid, start, goal)` raises, without a search: the
+    endpoints' errors, then NoPath unless both lie in one free region."""
+    _check_endpoints(grid, start, goal)
+    if grid.blocked:
+        cols, regions = grid.cols, grid.regions
+        if regions[start.row * cols + start.col] != regions[goal.row * cols + goal.col]:
+            raise NoPath(f"no path from {start} to {goal}")
 
 
 def _crossing_midpoint(
@@ -177,9 +244,9 @@ def single_agent_baseline(
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
     rid = locate(task.pickup, diagram)
-    # validate reachability of both legs up front
-    astar(grid, cell_of(pos[rid], grid), cell_of(task.pickup, grid))
-    astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
+    # raise up front, as a search of either leg would
+    check_reachable(grid, cell_of(pos[rid], grid), cell_of(task.pickup, grid))
+    check_reachable(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
     return RelayPlan(
         task=task,
         active=(rid,),

@@ -441,7 +441,6 @@ def simulate(
                 detour = _plan_route(rb, grid, occupied)
                 if detour:
                     rb.route = detour
-                    rb.blocked_ticks = 0
             if not rb.route or rb.route[-1] in occupied:
                 rb.blocked_ticks += 1
                 continue

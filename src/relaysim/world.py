@@ -75,6 +75,28 @@ class OccupancyGrid(_OccupancyGridFields):
             mask[c.row * self.cols + c.col] = 1
         return bytes(mask)
 
+    @cached_property
+    def regions(self) -> list[int]:
+        """Row-major: the 4-connected free region of each cell, named by its
+        first cell's index; -1 where the cell is blocked."""
+        cols, size, mask = self.cols, self.cols * self.rows, self.blocked_mask
+        regions = [-1] * size
+        for first in range(size):
+            if mask[first] or regions[first] >= 0:
+                continue
+            regions[first] = first
+            todo = [first]
+            while todo:
+                i = todo.pop()
+                c = i % cols
+                # row-end tests keep a column step from wrapping into the next row
+                for ok, nb in ((i >= cols, i - cols), (i + cols < size, i + cols),
+                               (c > 0, i - 1), (c + 1 < cols, i + 1)):
+                    if ok and not mask[nb] and regions[nb] < 0:
+                        regions[nb] = first
+                        todo.append(nb)
+        return regions
+
 
 def cell_of(point: Point, grid: OccupancyGrid) -> GridCell:
     """Cell whose half-open extent [x, x+w) x [y, y+h) contains the point."""

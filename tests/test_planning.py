@@ -6,9 +6,11 @@ import pytest
 from relaysim.errors import BlockedEndpoint, CellOutOfBounds, NoPath
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist, locate
 from relaysim.nlu import TaskSpec
+from relaysim import planning
 from relaysim.planning import (
     astar,
     build_relay_plan,
+    check_reachable,
     plan_from_json,
     plan_to_json,
     single_agent_baseline,
@@ -26,6 +28,37 @@ def random_grid(rng, cols=20, rows=20, blocked_frac=0.2):
         if rng.random() < blocked_frac
     )
     return OccupancyGrid(workspace=ws, blocked=blocked)
+
+
+def _cells(grid):
+    return [GridCell(c, r) for r in range(grid.rows) for c in range(grid.cols)]
+
+
+def _house_grid():
+    """A 30x30 floor of nine rooms: walls on rows and columns 10 and 20, each
+    wall segment with a two-cell doorway (cells 4-5, 14-15 and 24-25)."""
+    walls = {(w, i) for w in (10, 20) for i in range(30)}
+    walls |= {(r, c) for c, r in walls}
+    doors = {(w, d) for w in (10, 20) for d in (4, 5, 14, 15, 24, 25)}
+    doors |= {(r, c) for c, r in doors}
+    ws = Workspace(Point(0, 0), Point(30.0, 30.0), 30, 30)
+    return OccupancyGrid(workspace=ws, blocked=frozenset(GridCell(c, r) for c, r in walls - doors))
+
+
+def _route(search, grid, a, b):
+    try:
+        return search(grid, a, b)
+    except NoPath as exc:
+        return str(exc)
+
+
+def _raised(fn, grid, a, b):
+    """The type and text of what fn(grid, a, b) raises; None if it returns."""
+    try:
+        fn(grid, a, b)
+    except (CellOutOfBounds, BlockedEndpoint, NoPath) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def random_team(rng, n, grid):
@@ -109,21 +142,51 @@ class TestAstar:
         grid = OccupancyGrid(workspace=Workspace(Point(0, 0), Point(1.0, 1.0), 1, 1))
         assert astar(grid, GridCell(0, 0), GridCell(0, 0)).cells == (GridCell(0, 0),)
 
-    def test_open_grid_route_equals_the_search(self):
-        # a fully blocked column on the right keeps every original cell's f, h
-        # and row-major order, so the search on the padded grid picks the path
-        # the open grid's route must equal
-        for cols in range(1, 11):
-            for rows in range(1, 11):
-                grid = OccupancyGrid(workspace=Workspace(Point(0, 0), Point(cols, rows), cols, rows))
-                padded = OccupancyGrid(
-                    workspace=Workspace(Point(0, 0), Point(cols + 1, rows), cols + 1, rows),
-                    blocked=frozenset(GridCell(cols, r) for r in range(rows)),
-                )
-                cells = [GridCell(c, r) for r in range(rows) for c in range(cols)]
-                for a in cells:
-                    for b in cells:
-                        assert astar(grid, a, b) == astar(padded, a, b), (cols, rows, a, b)
+    def test_astar_equals_the_search(self, monkeypatch):
+        # astar walks where the search's path only moves toward the goal and
+        # searches elsewhere; either way it must return what the search does
+        searched = []
+        real_search = planning._search
+
+        def counting(grid, start, goal):
+            searched.append((start, goal))
+            return real_search(grid, start, goal)
+
+        monkeypatch.setattr(planning, "_search", counting)
+        rng = random.Random(53)
+        pairs = 0
+        # every pair on small open grids
+        for cols in range(1, 7):
+            for rows in range(1, 7):
+                grid = random_grid(rng, cols, rows, 0.0)
+                for a in _cells(grid):
+                    for b in _cells(grid):
+                        assert _route(astar, grid, a, b) == _route(real_search, grid, a, b)
+                        pairs += 1
+        # sampled pairs on walled grids, and on the house floor plan
+        grids = [random_grid(rng, rng.randint(1, 15), rng.randint(1, 15), rng.choice((0.1, 0.3, 0.5)))
+                 for _ in range(60)]
+        grids += [_house_grid()] * 10
+        for grid in grids:
+            free = [c for c in _cells(grid) if not grid.is_blocked(c)]
+            for _ in range(60 if free else 0):
+                a, b = rng.choice(free), rng.choice(free)
+                assert _route(astar, grid, a, b) == _route(real_search, grid, a, b), (grid, a, b)
+                pairs += 1
+        assert 0 < len(searched) < pairs / 2
+
+    def test_check_reachable_raises_what_astar_raises(self):
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(500):
+            cols, rows = rng.randint(1, 12), rng.randint(1, 12)
+            grid = random_grid(rng, cols, rows, rng.choice((0.0, 0.2, 0.45)))
+            for _ in range(5):
+                a, b = (GridCell(rng.randint(-1, cols), rng.randint(-1, rows)) for _ in "ab")
+                outcome = _raised(check_reachable, grid, a, b)
+                assert outcome == _raised(astar, grid, a, b), (grid, a, b)
+                seen.add(outcome and outcome[0])
+        assert seen == {None, CellOutOfBounds, BlockedEndpoint, NoPath}
 
     def test_paths_and_no_paths_digest(self):
         # pins the (f, h, row-major index) tie-break: an equally short but

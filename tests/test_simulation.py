@@ -10,8 +10,9 @@ from relaysim.coordination import EventKind, MessageKind
 from relaysim.errors import InvalidStart, NoCompletedTrials
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
 from relaysim.nlu import TaskSpec
-from relaysim.planning import build_relay_plan, single_agent_baseline
+from relaysim.planning import RelayPlan, build_relay_plan, single_agent_baseline
 from relaysim.simulation import (
+    _REPLAN_AFTER,
     RunConfig,
     SimConfig,
     generate_trial,
@@ -109,6 +110,24 @@ class TestSingleTrials:
         assert out.record.total_moves == leg1 + leg2
         assert out.record.per_agent_moves == {0: leg1 + leg2}
         assert out.messages[-1].kind is MessageKind.TASK_COMPLETE
+
+    def test_held_robot_detours_after_replan_after_blocked_ticks(self):
+        """Robot 0's route to the pickup at (4, 2) runs along row 1 through
+        bystander 1 at (2, 1). It reaches (1, 1) at tick 1, is held there for
+        exactly _REPLAN_AFTER ticks, and at the next tick steps onto the detour
+        around the bystander: down to (1, 2), then along row 2."""
+        ws = Workspace(Point(0, 0), Point(5.0, 3.0), 5, 3)
+        grid = OccupancyGrid(workspace=ws)
+        placements = [(0, center_of(GridCell(0, 1), grid)), (1, center_of(GridCell(2, 1), grid))]
+        task = TaskSpec(center_of(GridCell(4, 2), grid), center_of(GridCell(4, 0), grid), "box", "t")
+        plan = RelayPlan(task=task, active=(0,), transfers=(), baseline=True)
+        out = simulate(plan, placements, grid, RunConfig(), record_trace=True)
+        assert out.record.completed
+        cells = [t.positions[0] for t in out.trace]
+        assert _REPLAN_AFTER == 3
+        held = [GridCell(1, 1)] * (1 + _REPLAN_AFTER)
+        assert cells[:8] == [GridCell(0, 1), *held, *(GridCell(c, 2) for c in range(1, 4))]
+        assert {t.positions[1] for t in out.trace} == {GridCell(2, 1)}
 
     def test_two_robot_relay_exchanges_one_message_pair(self):
         cfg = SMALL
