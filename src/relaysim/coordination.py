@@ -96,90 +96,60 @@ class RobotFsm(NamedTuple):
     leg_end: Point | None = None
     peer_next: int | None = None  # robot we hand the item to; None: we deliver it
 
-    @property
-    def status_led(self) -> LedStatus:
-        if self.state is RobotState.RELAY:
-            return LedStatus.BLUE
-        return LedStatus.GREEN if self.carrying is not None else LedStatus.OFF
 
+_S, _E, _M = RobotState, EventKind, MessageKind
 
-def _moved(fsm: RobotFsm, state: RobotState, carrying: str | None) -> RobotFsm:
-    """fsm in `state`, holding `carrying`; every field after `carrying` unchanged."""
-    return RobotFsm(fsm.robot_id, state, carrying, *fsm[3:])
+# (state, event, holds the item, cue) -> (next state, holds it after, message
+# to send). The cue is the received message's kind for MessageReceived, and
+# for ArrivedWaypoint whether the robot is at a task end: `picks_up` without
+# the item, `peer_next is None` with it.
+_TABLE: dict[tuple, tuple[RobotState, bool, MessageKind | None]] = {
+    (_S.IDLE, _E.ASSIGN_SEGMENT, False, None): (_S.NAVIGATE, False, None),
+    (_S.NAVIGATE, _E.ARRIVED_WAYPOINT, False, True): (_S.PICKUP, False, None),
+    (_S.NAVIGATE, _E.ARRIVED_WAYPOINT, False, False): (_S.RELAY, False, None),
+    (_S.NAVIGATE, _E.ARRIVED_WAYPOINT, True, True): (_S.DELIVER, True, None),
+    (_S.NAVIGATE, _E.ARRIVED_WAYPOINT, True, False): (_S.RELAY, True, _M.HANDOFF_READY),
+    (_S.PICKUP, _E.PICKUP_DONE, False, None): (_S.NAVIGATE, True, None),
+    (_S.RELAY, _E.MESSAGE_RECEIVED, True, _M.HANDOFF_ACK): (_S.IDLE, False, None),
+    (_S.RELAY, _E.MESSAGE_RECEIVED, False, _M.HANDOFF_READY): (_S.NAVIGATE, True, _M.HANDOFF_ACK),
+    (_S.DELIVER, _E.DROP_DONE, True, None): (_S.IDLE, False, _M.TASK_COMPLETE),
+}
 
 
 def fsm_step(fsm: RobotFsm, event: FsmEvent) -> tuple[RobotFsm, list[HandoffMessage]]:
     """Apply one event to the FSM; returns the successor and emitted messages.
 
-    An event not covered by the transition table is a protocol bug and
-    raises IllegalTransition. RELAY is the state on both sides of a handoff:
-    the sender waits there with the item for HandoffAck, the receiver
-    without it for HandoffReady.
+    An event whose key is not in `_TABLE`, or any event for a bystander, is
+    a protocol bug and raises IllegalTransition. RELAY is the state on both
+    sides of a handoff: the sender waits there with the item for HandoffAck,
+    the receiver without it for HandoffReady.
     """
-    k = event.kind
-    s = fsm.state
-    carrying = fsm.carrying is not None
-
-    if k == EventKind.ASSIGN_SEGMENT:
-        if s is not RobotState.IDLE or fsm.leg_end is None:
-            raise IllegalTransition(f"AssignSegment in state {s} for robot {fsm.robot_id}")
-        return _moved(fsm, RobotState.NAVIGATE, fsm.carrying), []
-
-    if k == EventKind.ARRIVED_WAYPOINT:
-        if s is not RobotState.NAVIGATE:
-            raise IllegalTransition(f"ArrivedWaypoint in state {s}")
-        if not carrying:  # at the pickup, or at the incoming transfer to wait
-            state = RobotState.PICKUP if fsm.picks_up else RobotState.RELAY
-            return _moved(fsm, state, fsm.carrying), []
-        if fsm.peer_next is None:
-            return _moved(fsm, RobotState.DELIVER, fsm.carrying), []
-        ready = HandoffMessage(
-            kind=MessageKind.HANDOFF_READY,
-            task_id=fsm.task_id,
-            from_id=fsm.robot_id,
-            to_id=fsm.peer_next,
-            at=fsm.leg_end,
-            tick=event.tick,
+    kind = event.kind
+    holds = fsm.carrying is not None
+    msg = event.message
+    if kind is EventKind.MESSAGE_RECEIVED:
+        cue = msg.kind if msg is not None else None
+    elif kind is EventKind.ARRIVED_WAYPOINT:
+        cue = fsm.peer_next is None if holds else fsm.picks_up
+    else:
+        cue = None
+    row = _TABLE.get((fsm.state, kind, holds, cue))
+    if row is None or fsm.leg_end is None:
+        seen = cue.value if isinstance(cue, MessageKind) else kind.value
+        raise IllegalTransition(
+            f"robot {fsm.robot_id}: no transition for {seen} in state "
+            f"{fsm.state.value} carrying {fsm.carrying!r}"
         )
-        return _moved(fsm, RobotState.RELAY, fsm.carrying), [ready]
-
-    if k == EventKind.PICKUP_DONE:
-        if s is not RobotState.PICKUP:
-            raise IllegalTransition(f"PickupDone in state {s}")
-        return _moved(fsm, RobotState.NAVIGATE, fsm.item), []
-
-    if k == EventKind.MESSAGE_RECEIVED:
-        msg = event.message
-        if msg is None:
-            raise IllegalTransition("MessageReceived without a message")
-        if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_ACK and carrying:
-            return _moved(fsm, RobotState.IDLE, None), []
-        if s is RobotState.RELAY and msg.kind is MessageKind.HANDOFF_READY and not carrying:
-            ack = HandoffMessage(
-                kind=MessageKind.HANDOFF_ACK,
-                task_id=fsm.task_id,
-                from_id=fsm.robot_id,
-                to_id=msg.from_id,
-                at=event.at if event.at is not None else msg.at,
-                tick=event.tick,
-            )
-            return _moved(fsm, RobotState.NAVIGATE, fsm.item), [ack]
-        raise IllegalTransition(f"{msg.kind} in state {s} with carrying={fsm.carrying!r}")
-
-    if k == EventKind.DROP_DONE:
-        if s is not RobotState.DELIVER:
-            raise IllegalTransition(f"DropDone in state {s}")
-        done = HandoffMessage(
-            kind=MessageKind.TASK_COMPLETE,
-            task_id=fsm.task_id,
-            from_id=fsm.robot_id,
-            to_id=fsm.robot_id,
-            at=fsm.leg_end,
-            tick=event.tick,
-        )
-        return _moved(fsm, RobotState.IDLE, None), [done]
-
-    raise IllegalTransition(f"unhandled event kind {k}")
+    state, holds, send = row
+    nxt = RobotFsm(fsm.robot_id, state, fsm.item if holds else None, *fsm[3:])
+    if send is None:
+        return nxt, []
+    if send is MessageKind.HANDOFF_ACK:  # to the Ready's sender, where we stand
+        to, at = msg.from_id, event.at if event.at is not None else msg.at
+    else:
+        to = fsm.peer_next if send is MessageKind.HANDOFF_READY else fsm.robot_id
+        at = fsm.leg_end
+    return nxt, [HandoffMessage(send, fsm.task_id, fsm.robot_id, to, at, event.tick)]
 
 
 class MessageBus:
