@@ -141,6 +141,7 @@ class VoronoiDiagram:
         self._site = dict(self.sites)
         if len(self._site) != len(self.sites):
             raise ValueError("duplicate robot ids")
+        self._coords = [(sid, p.x, p.y) for sid, p in self.sites]  # what `_nearest` scans
         self._cells: dict[int, VoronoiCell] = {}
 
     def cell(self, site_id: int) -> VoronoiCell:
@@ -282,13 +283,17 @@ def locate(point: Point, diagram: VoronoiDiagram) -> int:
     """Nearest-site owner of a workspace point; exact ties go to the lowest id."""
     if not diagram.workspace.contains(point):
         raise PointOutsideWorkspace(f"({point.x}, {point.y}) outside workspace")
+    return _nearest(point.x, point.y, diagram._coords)
+
+
+def _nearest(x: float, y: float, coords: list[tuple[int, float, float]]) -> int:
+    """Id of the (id, x, y) site nearest (x, y). `coords` is sorted by id, so
+    strict < keeps the lowest id on exact ties."""
     best_id = -1
     best = math.inf
-    px = point.x
-    py = point.y
-    for sid, site in diagram.sites:  # sorted by id, so strict < keeps the lowest on ties
-        dx = px - site.x
-        dy = py - site.y
+    for sid, sx, sy in coords:
+        dx = x - sx
+        dy = y - sy
         d2 = dx * dx + dy * dy
         if d2 < best:
             best = d2

@@ -13,6 +13,7 @@ from .geometry import (
     VoronoiDiagram,
     Workspace,
     _is_int,
+    _nearest,
     locate,
     point_from_list,
     relay_point,
@@ -204,9 +205,12 @@ def build_relay_plan(
         raise ValueError("need at least one robot")
     pos = {rid: p for rid, p in robots}
     path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
-    # the Voronoi owner of each path-cell center; the chain is the owners in
-    # order of first appearance
-    owners = [locate(center_of(cell, grid), diagram) for cell in path.cells]
+    # the Voronoi owner of each path-cell center, as `locate` finds it (a center
+    # is in the workspace); the chain is the owners in order of first appearance
+    x0, y0 = grid.workspace.min_corner
+    cw, ch, coords = grid.cell_width, grid.cell_height, diagram._coords
+    owners = [_nearest(x0 + (c.col + 0.5) * cw, y0 + (c.row + 0.5) * ch, coords)
+              for c in path.cells]
     active = list(dict.fromkeys(owners))
 
     transfers: list[Point] = []
@@ -257,15 +261,20 @@ def single_agent_baseline(
 
 
 def check_plan(plan: RelayPlan, robots: list[tuple[int, Point]]) -> None:
-    """Raise ValueError unless the plan's chain is non-empty, names no robot
-    twice and only placed robots, and has one transfer and one fallback flag
-    per consecutive pair."""
+    """Raise ValueError unless every robot is placed once, and the plan's chain
+    is non-empty, names no robot twice and only placed robots, and has one
+    transfer and one fallback flag per consecutive pair."""
+    placed: set[int] = set()
+    for rid, _ in robots:
+        if rid in placed:
+            raise ValueError(f"robot {rid} is placed twice")
+        placed.add(rid)
     active = plan.active
     if not active:
         raise ValueError("empty active chain")
     if len(set(active)) != len(active):
         raise ValueError("a robot appears twice in the active chain")
-    missing = set(active) - {rid for rid, _ in robots}
+    missing = set(active) - placed
     if missing:
         raise ValueError(f"active robots {sorted(missing)} not in robots")
     if len(plan.transfers) != len(active) - 1:

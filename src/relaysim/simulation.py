@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from .coordination import (
@@ -26,7 +27,7 @@ from .errors import BlockedEndpoint, InvalidStart, NoCompletedTrials, NoPath, Pl
 from .geometry import Point, Workspace, _is_int, compute_voronoi, dist
 from .nlu import TaskSpec, task_to_dict
 from .planning import RelayPlan, astar, build_relay_plan, check_plan, single_agent_baseline
-from .world import GridCell, OccupancyGrid, cell_of, center_of
+from .world import GridCell, OccupancyGrid
 
 # ticks a robot waits behind an occupied cell before replanning around it
 _REPLAN_AFTER = 3
@@ -207,6 +208,13 @@ class TrialOutcome(NamedTuple):
 # --- trial generation --------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _open_grid(workspace: Workspace) -> OccupancyGrid:
+    """The grid of `workspace` with no blocked cell, one for every trial on
+    it; the grid is read-only, so the figures it caches stay true."""
+    return OccupancyGrid(workspace=workspace)
+
+
 def generate_trial(
     team_size: int, config: SimConfig, rng: random.Random
 ) -> tuple[list[tuple[int, Point]], TaskSpec]:
@@ -218,34 +226,19 @@ def generate_trial(
     cols, rows = config.grid_cols, config.grid_rows
     # row-major indices: the same draws as sampling a list of every cell
     drawn = rng.sample(range(cols * rows), team_size)
-    robot_cells = [GridCell(i % cols, i // cols) for i in drawn]
-    taken = set(robot_cells)
-    grid = OccupancyGrid(workspace=config.workspace())
-
-    def rand_cell() -> GridCell:
-        return GridCell(rng.randrange(cols), rng.randrange(rows))
-
+    taken = set(drawn)
+    grid = _open_grid(config.workspace())
     for _ in range(10_000):
-        pickup_cell = rand_cell()
-        drop_cell = rand_cell()
-        if pickup_cell in taken or drop_cell in taken or pickup_cell == drop_cell:
+        pc, pr = rng.randrange(cols), rng.randrange(rows)
+        dc, dr = rng.randrange(cols), rng.randrange(rows)
+        pickup, drop = pr * cols + pc, dr * cols + dc
+        if pickup in taken or drop in taken or pickup == drop:
             continue
-        p = center_of(pickup_cell, grid)
-        d = center_of(drop_cell, grid)
+        p, d = grid.center(pickup), grid.center(drop)
         if dist(p, d) >= config.min_task_separation:
-            placements = [
-                (i, center_of(cell, grid)) for i, cell in enumerate(robot_cells)
-            ]
-            task = TaskSpec(
-                pickup=p,
-                drop=d,
-                item="package",
-                source_text=(
-                    f"deliver package from cell {pickup_cell.col},{pickup_cell.row} "
-                    f"to cell {drop_cell.col},{drop_cell.row}"
-                ),
-            )
-            return placements, task
+            placements = [(i, grid.center(cell)) for i, cell in enumerate(drawn)]
+            text = f"deliver package from cell {pc},{pr} to cell {dc},{dr}"
+            return placements, TaskSpec(pickup=p, drop=d, item="package", source_text=text)
     raise PlacementExhausted("could not satisfy task placement constraints")
 
 
@@ -274,10 +267,6 @@ class _Robot:
 
 def _cell(index: int, cols: int) -> GridCell:
     return GridCell(index % cols, index // cols)
-
-
-def _index(cell: GridCell, cols: int) -> int:
-    return cell.row * cols + cell.col
 
 
 def _transfer_stops(
@@ -355,10 +344,10 @@ def simulate(
     bus = MessageBus(delay=config.message_delay)
     cols = grid.cols
     # every robot's start cell; only the chain's robots move off theirs
-    starts = {rid: _index(cell_of(pos, grid), cols) for rid, pos in placements}
+    starts = {rid: grid.index_of(pos) for rid, pos in placements}
     # the stops of each of plan.legs, by position: the pickup and the drop
     # stop on their own cell, every transfer on its transfer stops
-    ends = [_index(cell_of(p, grid), cols) for p in plan.legs]
+    ends = [grid.index_of(p) for p in plan.legs]
     task_cells = frozenset((ends[0], ends[-1]))
     stops = [(ends[0],), *(_transfer_stops(c, grid, task_cells) for c in ends[1:-1]), (ends[-1],)]
     robots = _build_robots(plan, starts, stops, task_id)
@@ -416,7 +405,7 @@ def simulate(
                 if rb.fsm.state is not RobotState.RELAY:
                     continue
                 for msg in bus.poll(rb.rid, tick):
-                    here = center_of(_cell(rb.cell, cols), grid)
+                    here = grid.center(rb.cell)
                     step(rb, FsmEvent(EventKind.MESSAGE_RECEIVED, tick, here, msg))
                     progress = True
         if trace is not None:
@@ -479,7 +468,7 @@ def run_trial(
 ) -> TrialOutcome:
     """Plan and execute one trial end to end."""
     workspace = config.workspace()
-    grid = OccupancyGrid(workspace=workspace)
+    grid = _open_grid(workspace)
     diagram = compute_voronoi(placements, workspace)
     if baseline:
         plan = single_agent_baseline(task, placements, diagram, grid)

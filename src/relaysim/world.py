@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import re
 from functools import cached_property
 from pathlib import Path
@@ -61,6 +60,27 @@ class OccupancyGrid(_OccupancyGridFields):
     def cell_height(self) -> float:
         return self.workspace.height / self.rows
 
+    @cached_property
+    def _frame(self) -> tuple[float, float, float, float, float, float, int, int]:
+        """(x0, y0, x1, y1, cell width, cell height, cols, rows)."""
+        lo, hi = self.workspace.min_corner, self.workspace.max_corner
+        return (lo.x, lo.y, hi.x, hi.y, self.cell_width, self.cell_height, self.cols, self.rows)
+
+    def index_of(self, point: Point) -> int:
+        """Row-major index of the cell whose half-open extent contains the point."""
+        x0, y0, x1, y1, cw, ch, cols, rows = self._frame
+        x, y = point
+        if not (x0 <= x < x1 and y0 <= y < y1):
+            raise PointOutsideWorkspace(f"({x}, {y}) outside half-open workspace extent")
+        # int() floors the non-negative quotients; min guards float roundoff
+        # at the upper edge
+        return min(int((y - y0) / ch), rows - 1) * cols + min(int((x - x0) / cw), cols - 1)
+
+    def center(self, index: int) -> Point:
+        """Centre of the cell with row-major index `index`, which must be in the grid."""
+        x0, y0, _, _, cw, ch, cols, _ = self._frame
+        return Point(x0 + (index % cols + 0.5) * cw, y0 + (index // cols + 0.5) * ch)
+
     def in_bounds(self, cell: GridCell) -> bool:
         return 0 <= cell.col < self.cols and 0 <= cell.row < self.rows
 
@@ -100,27 +120,14 @@ class OccupancyGrid(_OccupancyGridFields):
 
 def cell_of(point: Point, grid: OccupancyGrid) -> GridCell:
     """Cell whose half-open extent [x, x+w) x [y, y+h) contains the point."""
-    ws = grid.workspace
-    if not ws.contains(point):
-        raise PointOutsideWorkspace(
-            f"({point.x}, {point.y}) outside half-open workspace extent"
-        )
-    col = int(math.floor((point.x - ws.min_corner.x) / grid.cell_width))
-    row = int(math.floor((point.y - ws.min_corner.y) / grid.cell_height))
-    # guard float roundoff at the upper edge
-    col = min(col, grid.cols - 1)
-    row = min(row, grid.rows - 1)
-    return GridCell(col, row)
+    index = grid.index_of(point)
+    return GridCell(index % grid.cols, index // grid.cols)
 
 
 def center_of(cell: GridCell, grid: OccupancyGrid) -> Point:
     if not grid.in_bounds(cell):
         raise CellOutOfBounds(f"cell {cell} out of bounds")
-    ws = grid.workspace
-    return Point(
-        ws.min_corner.x + (cell.col + 0.5) * grid.cell_width,
-        ws.min_corner.y + (cell.row + 0.5) * grid.cell_height,
-    )
+    return grid.center(cell.row * grid.cols + cell.col)
 
 
 def normalize_zone_name(name: str) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from relaysim.geometry import Point
+from relaysim.geometry import Point, Workspace
 from relaysim.world import GridCell, OccupancyGrid
 
 
@@ -19,6 +19,24 @@ def nearest_site_brute(point: Point, sites: list[tuple[int, Point]]) -> int:
             best = d2
             best_id = sid
     return best_id
+
+
+def cell_floor(point: Point, ws: Workspace) -> GridCell:
+    """The cell of a workspace point by `math.floor` of its offset over the
+    cell size; the last column and row also take an offset that rounds up
+    to the grid's edge."""
+    col = math.floor((point.x - ws.min_corner.x) / (ws.width / ws.grid_cols))
+    row = math.floor((point.y - ws.min_corner.y) / (ws.height / ws.grid_rows))
+    return GridCell(min(col, ws.grid_cols - 1), min(row, ws.grid_rows - 1))
+
+
+def cell_center(cell: GridCell, ws: Workspace) -> Point:
+    """A cell's center as the grid has always computed it: the corner plus
+    the cell's coordinate plus one half, times the cell size."""
+    return Point(
+        ws.min_corner.x + (cell.col + 0.5) * (ws.width / ws.grid_cols),
+        ws.min_corner.y + (cell.row + 0.5) * (ws.height / ws.grid_rows),
+    )
 
 
 def minimax_value_ternary(

@@ -15,6 +15,7 @@ from relaysim.planning import (
     plan_to_json,
     single_agent_baseline,
 )
+from relaysim.simulation import SimConfig, generate_trial, trial_seed
 from relaysim.world import GridCell, OccupancyGrid, cell_of, center_of
 from oracles import bfs_shortest_moves, nearest_site_brute
 
@@ -250,6 +251,31 @@ class TestActiveChain:
             owners = {locate(center_of(c, grid20), d) for c in path.cells}
             assert set(active) == owners
             assert len(active) == len(set(active))
+
+    @pytest.mark.parametrize("side,team", [(20, 5), (20, 10), (60, 10), (60, 60)])
+    def test_chain_is_the_located_owners_in_path_order(self, side, team):
+        """On seeded batch trials, the chain is `locate`'s owner of each
+        path-cell center, in order of first appearance."""
+        config = SimConfig(grid_cols=side, grid_rows=side, team_sizes=(team,))
+        grid = OccupancyGrid(workspace=config.workspace())
+        for i in range(20):
+            rng = random.Random(trial_seed(12345, team, i))
+            placements, task = generate_trial(team, config, rng)
+            d = compute_voronoi(placements, grid.workspace)
+            path = astar(grid, cell_of(task.pickup, grid), cell_of(task.drop, grid))
+            want = dict.fromkeys(locate(center_of(c, grid), d) for c in path.cells)
+            assert build_relay_plan(task, placements, d, grid).active == tuple(want)
+
+    def test_an_exact_tie_goes_to_the_lower_id(self, workspace20, grid20):
+        # sites 5 and 2 mirrored about the center of the pickup's cell (4, 5):
+        # the lower id owns that cell, and site 5 every later cell of the path
+        robots = [(5, Point(1.5, 2.5)), (2, Point(7.5, 8.5))]
+        center = center_of(GridCell(4, 5), grid20)
+        d2 = [(center.x - p.x) ** 2 + (center.y - p.y) ** 2 for _, p in robots]
+        assert d2[0] == d2[1]
+        d = compute_voronoi(robots, workspace20)
+        task = _cell_task(GridCell(4, 5), GridCell(0, 1), grid20)
+        assert build_relay_plan(task, robots, d, grid20).active == (2, 5)
 
 
 class TestBuildRelayPlan:

@@ -279,6 +279,15 @@ class TestSingleTrials:
         with pytest.raises(ValueError, match=error):
             simulate(plan._replace(**change), placements, grid, RunConfig())
 
+    def test_a_robot_placed_twice_is_rejected(self):
+        workspace = Workspace(Point(0.0, 0.0), Point(10.0, 10.0), 10, 10)
+        grid = OccupancyGrid(workspace=workspace)
+        task = TaskSpec(Point(2.5, 2.5), Point(7.5, 7.5), "box", "t")
+        plan = RelayPlan(task=task, active=(0,), transfers=(), baseline=True)
+        placements = [(0, Point(0.5, 0.5)), (1, Point(5.5, 5.5)), (1, Point(1.5, 0.5))]
+        with pytest.raises(ValueError, match="robot 1 is placed twice"):
+            simulate(plan, placements, grid, RunConfig())
+
     def test_only_the_chain_gets_an_fsm(self, monkeypatch):
         built = []
         real = simulation.RobotFsm

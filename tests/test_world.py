@@ -1,8 +1,9 @@
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysim.errors import CellOutOfBounds, PointOutsideWorkspace, UnknownZone
@@ -18,6 +19,7 @@ from relaysim.world import (
     resolve_zone,
 )
 from mapfiles import map_json
+from oracles import cell_center, cell_floor
 
 
 class TestCellOf:
@@ -78,6 +80,39 @@ class TestCenterOf:
         assert ws.min_corner.x + c.col * grid.cell_width <= x
         assert x < ws.min_corner.x + (c.col + 1) * grid.cell_width or c.col == cols - 1
         assert ws.min_corner.y + c.row * grid.cell_height <= y
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x0=st.floats(min_value=-1e3, max_value=1e3),
+        y0=st.floats(min_value=-1e3, max_value=1e3),
+        width=st.floats(min_value=0.01, max_value=1e3),
+        height=st.floats(min_value=0.01, max_value=1e3),
+        cols=st.integers(min_value=1, max_value=60),
+        rows=st.integers(min_value=1, max_value=60),
+        fx=st.floats(min_value=0, max_value=1),
+        fy=st.floats(min_value=0, max_value=1),
+    )
+    # one ulp below the upper edge, the offset over the cell width rounds to
+    # 31.0, one column past the last: the upper-edge guard maps it to col 30
+    @example(x0=-3.7, y0=2.25, width=17.3, height=9.1, cols=31, rows=7, fx=1.0, fy=1.0)
+    def test_conversions_equal_the_floor_reference(self, x0, y0, width, height, cols, rows,
+                                                   fx, fy):
+        """On any workspace, off the origin and with cols != rows included,
+        `cell_of` and `index_of` floor the point as the reference does; a
+        fraction of 1 puts it one ulp below the upper edge. `center_of` of
+        the cell equals `center` of its index, and the reference, bit for bit."""
+        ws = Workspace(Point(x0, y0), Point(x0 + width, y0 + height), cols, rows)
+        grid = OccupancyGrid(workspace=ws)
+        lo, hi = ws.min_corner, ws.max_corner
+        x = min(lo.x + fx * ws.width, math.nextafter(hi.x, -math.inf))
+        y = min(lo.y + fy * ws.height, math.nextafter(hi.y, -math.inf))
+        want = cell_floor(Point(x, y), ws)
+        assert cell_of(Point(x, y), grid) == want
+        index = grid.index_of(Point(x, y))
+        assert index == want.row * cols + want.col
+        bits = [v.hex() for v in cell_center(want, ws)]
+        assert [v.hex() for v in center_of(want, grid)] == bits
+        assert [v.hex() for v in grid.center(index)] == bits
 
 
 class TestSemanticMap:
