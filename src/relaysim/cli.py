@@ -29,7 +29,9 @@ def _load(path: str, decode):
     """decode(path), where a file that does not decode is a UsageError naming it."""
     try:
         return decode(path)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+    ) as exc:
         raise UsageError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
@@ -85,11 +87,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
     _, workspace = _load(args.map, world.load_semantic_map)
     robots = _load_robots(args.robots, workspace)
     diagram = geometry.compute_voronoi(robots, workspace)
-    _write_or_stdout(geometry.diagram_to_json(diagram), args.out)
-    if args.svg:
-        from . import render  # imported here: only the SVG outputs draw
+    from . import render  # imported here: only the SVG outputs draw
 
-        Path(args.svg).write_text(render.render_partition_svg(diagram), encoding="utf-8")
+    Path(args.svg).write_text(render.render_partition_svg(diagram), encoding="utf-8")
     return EXIT_OK
 
 
@@ -166,12 +166,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     from . import render  # imported here: only the SVG outputs draw
 
-    if args.plan:
-        plan, robots, workspace = _load_plan(args.plan)
-        svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
-    else:
-        diagram = _load(args.diagram, lambda p: geometry.diagram_from_json(_read(p)))
-        svg = render.render_partition_svg(diagram)
+    plan, robots, workspace = _load_plan(args.plan)
+    svg = render.render_plan_svg(plan, geometry.compute_voronoi(robots, workspace))
     Path(args.svg).write_text(svg, encoding="utf-8")
     return EXIT_OK
 
@@ -186,11 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relaysim")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("partition", help="compute and store the Voronoi partition")
+    p = sub.add_parser("partition", help="draw the Voronoi partition to SVG")
     p.add_argument("--map", required=True)
     p.add_argument("--robots", required=True, help="JSON file: [[id, x, y], ...]")
-    p.add_argument("--out", default=None)
-    p.add_argument("--svg", default=None)
+    p.add_argument("--svg", required=True)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("plan", help="parse a command and build a relay plan")
@@ -223,10 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trial records JSONL")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("render", help="render a stored diagram or plan to SVG")
-    stored = p.add_mutually_exclusive_group(required=True)
-    stored.add_argument("--diagram", default=None)
-    stored.add_argument("--plan", default=None)
+    p = sub.add_parser("render", help="render a stored plan to SVG")
+    p.add_argument("--plan", required=True, help="plan JSON produced by 'plan'")
     p.add_argument("--svg", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -6,7 +6,6 @@ separate concern owned by the world module.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -451,30 +450,3 @@ def robots_from_list(data: list, workspace: Workspace) -> list[tuple[int, Point]
     if len({rid for rid, _ in robots}) != len(robots):
         raise ValueError("duplicate robot ids")
     return robots
-
-
-def diagram_to_json(diagram: VoronoiDiagram) -> str:
-    data = {
-        "workspace": workspace_to_dict(diagram.workspace),
-        "cells": [
-            {
-                "site_id": c.site_id,
-                "site": [c.site.x, c.site.y],
-                "vertices": [[v.x, v.y] for v in c.vertices],
-            }
-            for c in diagram.cells
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def diagram_from_json(text: str) -> VoronoiDiagram:
-    """A stored diagram; its clip returns each cell's stored vertices."""
-    data = json.loads(text)
-    cells = data["cells"]
-    if not cells:
-        raise ValueError("a diagram needs at least one cell")
-    workspace = workspace_from_dict(data["workspace"])
-    sites = robots_from_list([[c["site_id"], *c["site"]] for c in cells], workspace)
-    vertices = {c["site_id"]: tuple(point_from_list(v) for v in c["vertices"]) for c in cells}
-    return VoronoiDiagram(sites, workspace, lambda sid, _: vertices[sid])

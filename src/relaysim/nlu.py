@@ -114,7 +114,7 @@ def _post_json(url: str, payload: dict, timeout: float) -> object:
         raise EndpointUnreachable(str(exc)) from exc
     try:
         return json.loads(raw)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:
         raise MalformedResponse(f"reply is not JSON: {exc}") from exc
 
 

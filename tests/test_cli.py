@@ -56,18 +56,9 @@ def robots_file(tmp_path):
 
 
 class TestPartition:
-    def test_writes_diagram_json(self, map_file, robots_file, tmp_path):
-        out = tmp_path / "diagram.json"
-        assert main(["partition", "--map", map_file, "--robots", robots_file, "--out", str(out)]) == EXIT_OK
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert {c["site_id"] for c in data["cells"]} == {0, 1}
-
     def test_svg_output(self, map_file, robots_file, tmp_path):
         svg = tmp_path / "diagram.svg"
-        code = main(
-            ["partition", "--map", map_file, "--robots", robots_file,
-             "--out", str(tmp_path / "d.json"), "--svg", str(svg)]
-        )
+        code = main(["partition", "--map", map_file, "--robots", robots_file, "--svg", str(svg)])
         assert code == EXIT_OK
         assert svg.read_text(encoding="utf-8").startswith("<svg")
 
@@ -432,15 +423,6 @@ def _map_with_kitchen_at(x, y):
 
 DUPLICATE_ID_ROBOTS = [[0, 5.5, 14.5], [0, 14.5, 5.5], [2, 10.5, 10.5]]
 
-# two cells with one site_id, each half of the 20x20 workspace
-DUPLICATE_ID_DIAGRAM = {
-    "workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20},
-    "cells": [
-        {"site_id": 0, "site": [5.5, 10.5], "vertices": [[0, 0], [10, 0], [10, 20], [0, 20]]},
-        {"site_id": 0, "site": [15.5, 10.5], "vertices": [[10, 0], [20, 0], [20, 20], [10, 20]]},
-    ],
-}
-
 RUN_ROBOTS = ["run", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"]
 RUN_MAP = ["run", "--command", COMMAND, "--map", "{bad}", "--robots", "{robots}"]
 
@@ -469,10 +451,9 @@ class TestMalformedInput:
              {"grid_cols": 0}),
             (["batch", "--seed", "3", "--trials", "1", "--config", "{bad}"],
              {"team_sizes": [500]}),
-            (["partition", "--map", "{bad}", "--robots", "{robots}"], "{not json"),
-            (["render", "--diagram", "{bad}", "--svg", "{svg}"],
-             {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}}),
-            (["partition", "--map", "{map}", "--robots", "{bad}"], DUPLICATE_ID_ROBOTS),
+            (["partition", "--map", "{bad}", "--robots", "{robots}", "--svg", "{svg}"], "{not json"),
+            (["partition", "--map", "{map}", "--robots", "{bad}", "--svg", "{svg}"],
+             DUPLICATE_ID_ROBOTS),
             (["plan", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
              DUPLICATE_ID_ROBOTS),
             (["run", "--command", COMMAND, "--map", "{map}", "--robots", "{bad}"],
@@ -496,7 +477,8 @@ class TestMalformedInput:
             (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": True}),
             (RUN_ROBOTS, [[0, 20.0, 10.5], [1, 15.5, 10.5]]),
             (RUN_ROBOTS, [[0, 25, 10.5], [1, 15.5, 10.5]]),
-            (["partition", "--map", "{map}", "--robots", "{bad}"], [[0, 5.5, -0.5]]),
+            (["partition", "--map", "{map}", "--robots", "{bad}", "--svg", "{svg}"],
+             [[0, 5.5, -0.5]]),
             (RUN_ROBOTS, [[0.9, 5.5, 10.5], [1.2, 15.5, 10.5]]),
             (RUN_ROBOTS, [[True, 5.5, 10.5], [2, 15.5, 10.5]]),
             (RUN_ROBOTS, [[0, math.nan, 10.5], [1, 15.5, 10.5]]),
@@ -511,9 +493,6 @@ class TestMalformedInput:
             (RUN_MAP, _map(zones={"kitchen": [math.nan, 17.5], "bedroom": [17.5, 2.5]})),
             (RUN_MAP, _map(zones={"Kitchen": [2.5, 17.5], " kitchen": [3.5, 17.5],
                                   "bedroom": [17.5, 2.5]})),
-            (["render", "--diagram", "{bad}", "--svg", "{svg}"], DUPLICATE_ID_DIAGRAM),
-            (["render", "--diagram", "{bad}", "--svg", "{svg}"],
-             {"workspace": {"min": [0, 0], "max": [20, 20], "cols": 20, "rows": 20}, "cells": []}),
             (RUN_ROBOTS, [[0, "5.5", 10.5], [1, True, 10.5]]),
             (RUN_ROBOTS, "[[0, 5.5, 1" + "0" * 400 + "], [1, 15.5, 10.5]]"),
             (RUN_MAP, _map_with_kitchen_at("2.5", "17.5")),
@@ -524,13 +503,14 @@ class TestMalformedInput:
             (["run", "--plan", "{bad}"], _numeric_item),
             (["run", "--plan", "{bad}"], _list_source_text),
             (["batch", "--seed", "3", "--config", "{bad}"], {"seed": 7}),
+            (["run", "--plan", "{bad}"], "[" * 100_000 + "]" * 100_000),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
              "string-message-delay", "negative-message-delay", "zero-tick-budget",
              "fractional-team-size-batch-config", "zero-grid-cols-batch-config",
              "team-larger-than-grid-batch-config",
-             "map-not-json", "diagram-without-cells",
+             "map-not-json",
              "duplicate-robot-id-partition", "duplicate-robot-id-plan",
              "duplicate-robot-id-run", "plan-with-duplicate-robot-id",
              "plan-active-id-not-in-robots", "plan-one-transfer-short",
@@ -547,11 +527,10 @@ class TestMalformedInput:
              "map-too-wide-for-squared-distances", "map-one-cell-over-the-ceiling",
              "map-cells-of-zero-width", "nan-zone-anchor",
              "zones-equal-after-normalization",
-             "diagram-with-duplicate-site-id", "diagram-with-no-cells",
              "string-and-boolean-robot-coordinates",
              "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
              "plan-string-baseline-flag", "plan-string-fallback-flag", "plan-numeric-item",
-             "plan-list-source-text", "seed-in-batch-config"],
+             "plan-list-source-text", "seed-in-batch-config", "plan-nested-too-deep"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -592,7 +571,7 @@ class TestUsage:
             ["run", "--command", COMMAND, "--robots", "robots.json"],
             ["run", "--plan", "plan.json", "--command", COMMAND],
             ["render", "--svg", "out.svg"],
-            ["render", "--diagram", "d.json", "--plan", "plan.json", "--svg", "out.svg"],
+            ["partition", "--map", "map.json", "--robots", "robots.json"],
             ["batch", "--seed", "1", "--team-sizes", "1", "--trials", "0"],
             ["batch", "--seed", "1", "--team-sizes", ""],
             ["batch", "--seed", "1", "--team-sizes", "0"],
@@ -842,13 +821,6 @@ class TestBatch:
 
 
 class TestRender:
-    def test_render_stored_diagram(self, map_file, robots_file, tmp_path):
-        diagram = tmp_path / "diagram.json"
-        main(["partition", "--map", map_file, "--robots", robots_file, "--out", str(diagram)])
-        svg = tmp_path / "out.svg"
-        assert main(["render", "--diagram", str(diagram), "--svg", str(svg)]) == EXIT_OK
-        assert "<svg" in svg.read_text(encoding="utf-8")
-
     def test_render_stored_plan(self, map_file, robots_file, tmp_path):
         plan_path = tmp_path / "plan.json"
         main(

@@ -24,8 +24,6 @@ from relaysim.geometry import (
     Workspace,
     _clip_halfplane,
     compute_voronoi,
-    diagram_from_json,
-    diagram_to_json,
     dist,
     locate,
     relay_point,
@@ -480,10 +478,3 @@ class TestRelayPoint:
             z, v = relay_point(x_i, x_j, SharedEdge(0, 1, p1, p2))
             assert abs(dist(z, x_i) - dist(z, x_j)) <= 1e-9
 
-
-def test_diagram_json_roundtrip(workspace20):
-    sites = [(0, Point(4.25, 7.5)), (1, Point(13.0, 12.0)), (2, Point(9.0, 2.0))]
-    d = compute_voronoi(sites, workspace20)
-    text = diagram_to_json(d)
-    again = diagram_to_json(diagram_from_json(text))
-    assert text == again

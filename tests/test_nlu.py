@@ -209,6 +209,15 @@ class TestInterpretExternal:
         got = interpret_external("bring box from kitchen to bedroom", five_zone_map, cfg)
         assert got.item == "box"
 
+    def test_reply_nested_too_deep_falls_back(self, five_zone_map, mock_endpoint):
+        _Handler.reply = b"[" * 100_000 + b"]" * 100_000
+        text = "bring box from kitchen to bedroom"
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=2.0)
+        assert interpret_external(text, five_zone_map, cfg) == parse_command(text, five_zone_map)
+        cfg = InterpreterConfig(endpoint=mock_endpoint, timeout=2.0, fallback=False)
+        with pytest.raises(MalformedResponse):
+            interpret_external(text, five_zone_map, cfg)
+
     def test_error_status_without_fallback_raises(self, five_zone_map, mock_endpoint):
         _Handler.status = 500
         _Handler.reply = {"pickup": "Kitchen", "drop": "Bedroom", "item": "box"}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from relaysim.errors import BlockedEndpoint, CellOutOfBounds, NoPath
-from relaysim.geometry import Point, Workspace, compute_voronoi, dist, locate
+from relaysim.geometry import Point, Workspace, compute_voronoi, dist, locate, shared_edge
 from relaysim.nlu import TaskSpec
 from relaysim import planning
 from relaysim.planning import (
@@ -294,10 +294,25 @@ class TestBuildRelayPlan:
         task = TaskSpec(Point(2.5, 10.5), Point(17.5, 10.5), "glass of water", "cmd")
         plan = build_relay_plan(task, robots, d, grid20)
         assert plan.active == (1, 2)
+        assert shared_edge(d, 1, 2) is not None
+        assert plan.transfer_fallback == (False,)
         assert len(plan.transfers) == 1
         z = plan.transfers[0]
         assert abs(dist(z, robots[0][1]) - dist(z, robots[1][1])) <= 1e-9
         assert plan.legs == (task.pickup, z, task.drop)
+
+    def test_fallback_flag_set_where_the_cells_share_no_edge(self):
+        """Robots 0 and 1 sit on a diagonal of a 2x2 square of robots, so their
+        cells meet only at its centre (2, 2); the transfer falls back to the
+        path's region crossing."""
+        ws = Workspace(Point(-0.5, -0.5), Point(4.5, 4.5), 5, 5)
+        robots = [(0, Point(1, 1)), (1, Point(3, 3)), (2, Point(3, 1)), (3, Point(1, 3))]
+        d = compute_voronoi(robots, ws)
+        task = TaskSpec(Point(1, 2), Point(3, 2), "box", "cmd")
+        plan = build_relay_plan(task, robots, d, OccupancyGrid(workspace=ws))
+        assert shared_edge(d, 0, 1) is None
+        assert (plan.active, plan.transfer_fallback) == ((0, 1), (True,))
+        assert plan.transfers == (Point(2.5, 2.0),)
 
     def test_random_instances_invariants(self, workspace20, grid20):
         rng = random.Random(37)

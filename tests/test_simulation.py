@@ -129,6 +129,23 @@ class TestSingleTrials:
         assert cells[:8] == [GridCell(0, 1), *held, *(GridCell(c, 2) for c in range(1, 4))]
         assert {t.positions[1] for t in out.trace} == {GridCell(2, 1)}
 
+    def test_handoff_on_diagonal_stops_when_the_transfer_cross_is_blocked(self):
+        """The transfer cell (2, 2) and its four edge neighbours are blocked, so
+        the only stops left are its diagonal neighbours: the receiver acks from
+        (3, 3)."""
+        ws = Workspace(Point(0, 0), Point(5.0, 5.0), 5, 5)
+        cross = [(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)]
+        grid = OccupancyGrid(workspace=ws, blocked=frozenset(GridCell(c, r) for c, r in cross))
+        placements = [(0, Point(0.5, 0.5)), (1, Point(4.5, 4.5))]
+        task = TaskSpec(Point(0.5, 2.5), Point(4.5, 2.5), "box", "t")
+        plan = RelayPlan(task=task, active=(0, 1), transfers=(Point(2.5, 2.5),), baseline=False,
+                         transfer_fallback=(False,))
+        out = simulate(plan, placements, grid, RunConfig(tick_budget=200))
+        assert out.record.completed
+        assert out.record.ticks == 6
+        (ack,) = (m for m in out.messages if m.kind is MessageKind.HANDOFF_ACK)
+        assert (ack.from_id, ack.at) == (1, Point(3.5, 3.5))
+
     def test_two_robot_relay_exchanges_one_message_pair(self):
         cfg = SMALL
         grid = OccupancyGrid(workspace=cfg.workspace())
