@@ -504,6 +504,9 @@ class TestMalformedInput:
             (["run", "--plan", "{bad}"], _list_source_text),
             (["batch", "--seed", "3", "--config", "{bad}"], {"seed": 7}),
             (["run", "--plan", "{bad}"], "[" * 100_000 + "]" * 100_000),
+            (RUN_MAP, "[" * 100_000 + "]" * 100_000),
+            (RUN_ROBOTS, "[" * 100_000 + "]" * 100_000),
+            (["batch", "--seed", "3", "--config", "{bad}"], "[" * 100_000 + "]" * 100_000),
         ],
         ids=["plan-without-robots", "short-robots-row", "unknown-config-key",
              "unknown-batch-config-key", "batch-key-in-run-config", "zero-team-size-batch-config",
@@ -530,7 +533,8 @@ class TestMalformedInput:
              "string-and-boolean-robot-coordinates",
              "robot-coordinate-too-large-for-a-float", "string-zone-anchor", "plan-transfer-not-numbers", "plan-fractional-active-id",
              "plan-string-baseline-flag", "plan-string-fallback-flag", "plan-numeric-item",
-             "plan-list-source-text", "seed-in-batch-config", "plan-nested-too-deep"],
+             "plan-list-source-text", "seed-in-batch-config", "plan-nested-too-deep",
+             "map-nested-too-deep", "robots-nested-too-deep", "batch-config-nested-too-deep"],
     )
     def test_one_error_line_naming_the_file_and_exit_2(
         self, argv, content, map_file, robots_file, tmp_path, capsys, monkeypatch
@@ -579,6 +583,9 @@ class TestUsage:
             ["run", "--plan", "plan.json", "--map", "map.json"],
             ["run", "--plan", "plan.json", "--robots", "robots.json"],
             ["run", "--plan", "plan.json", "--endpoint", "http://localhost:9"],
+            ["partition", "--map", "map.json", "--robots", "robots.json", "--svg", "out.svg",
+             "--out", "diagram.json"],
+            ["render", "--diagram", "diagram.json", "--svg", "out.svg"],
         ],
     )
     def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys, monkeypatch):
