@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +62,14 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return int(text)
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    with contextlib.suppress(ValueError):
+        if 0 < (seconds := float(text)) < math.inf:
+            return seconds
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
 
 
 def _team_sizes(text: str) -> tuple[int, ...]:
@@ -175,7 +184,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 def _add_interpreter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", default=None, help="external interpreter URL (omit for the grammar)")
     p.add_argument("--fallback", choices=("on", "off"), default="on")
-    p.add_argument("--timeout", type=float, default=5.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=5.0, help="seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BlockedEndpoint, CellOutOfBounds, NoPath
@@ -24,11 +23,19 @@ from .geometry import (
     workspace_to_dict,
 )
 from .nlu import TaskSpec, task_from_dict, task_to_dict
-from .world import GridCell, OccupancyGrid, cell_of, center_of
+from .world import GridCell, OccupancyGrid, cell_of
 
 
 class GridPath(NamedTuple):
-    cells: tuple[GridCell, ...]
+    """A path as the row-major indices of its cells, on a grid `cols` wide."""
+
+    indices: tuple[int, ...]
+    cols: int
+
+    @property
+    def cells(self) -> tuple[GridCell, ...]:
+        cols = self.cols
+        return tuple(GridCell(i % cols, i // cols) for i in self.indices)
 
 
 class RelayPlan(NamedTuple):
@@ -55,24 +62,6 @@ def _check_endpoints(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> No
             raise BlockedEndpoint(f"{c} is blocked")
 
 
-@lru_cache(maxsize=8)
-def _interned(cols: int, rows: int) -> list[GridCell | None]:
-    """Row-major: the one GridCell of each index of a cols x rows grid that
-    paths share, made on first use."""
-    return [None] * (cols * rows)
-
-
-def _cells(indices: list[int], cols: int, rows: int) -> tuple[GridCell, ...]:
-    interned = _interned(cols, rows)
-    path = []
-    for i in indices:
-        cell = interned[i]
-        if cell is None:
-            cell = interned[i] = GridCell(i % cols, i // cols)
-        path.append(cell)
-    return tuple(path)
-
-
 def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     """Shortest 4-connected path, unit costs, Manhattan heuristic.
 
@@ -86,7 +75,7 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
     walk with neither neighbour toward the goal free falls back to the search.
     """
     _check_endpoints(grid, start, goal)
-    cols, rows, mask = grid.cols, grid.rows, grid.blocked_mask
+    cols, mask = grid.cols, grid.blocked_mask
     c, r, gcol, grow = start.col, start.row, goal.col, goal.row
     cur, dst = r * cols + c, grow * cols + gcol
     dc = 1 if gcol > c else -1
@@ -103,7 +92,7 @@ def astar(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
         else:
             return _search(grid, start, goal)
         walk.append(cur)
-    return GridPath(cells=_cells(walk, cols, rows))
+    return GridPath(tuple(walk), cols)
 
 
 def _search(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
@@ -132,8 +121,7 @@ def _search(grid: OccupancyGrid, start: GridCell, goal: GridCell) -> GridPath:
             while cur >= 0:
                 path.append(cur)
                 cur = came[cur]
-            path.reverse()
-            return GridPath(cells=_cells(path, cols, rows))
+            return GridPath(tuple(path[::-1]), cols)
         closed[cur] = 1
         key //= size
         h = key % span
@@ -189,8 +177,8 @@ def _crossing_midpoint(
     """Midpoint of the path-cell centers where ownership first reaches next_agent."""
     for i in range(start_idx, len(owners)):
         if owners[i] == next_agent:
-            a = center_of(path.cells[i - 1], grid)
-            b = center_of(path.cells[i], grid)
+            a = grid.center(path.indices[i - 1])
+            b = grid.center(path.indices[i])
             return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0), i
     raise NoPath(f"agent {next_agent} never owns a path cell")  # unreachable for valid chains
 
@@ -208,9 +196,9 @@ def build_relay_plan(
     # the Voronoi owner of each path-cell center, as `locate` finds it (a center
     # is in the workspace); the chain is the owners in order of first appearance
     x0, y0 = grid.workspace.min_corner
-    cw, ch, coords = grid.cell_width, grid.cell_height, diagram._coords
-    owners = [_nearest(x0 + (c.col + 0.5) * cw, y0 + (c.row + 0.5) * ch, coords)
-              for c in path.cells]
+    cols, cw, ch, coords = grid.cols, grid.cell_width, grid.cell_height, diagram._coords
+    owners = [_nearest(x0 + (i % cols + 0.5) * cw, y0 + (i // cols + 0.5) * ch, coords)
+              for i in path.indices]
     active = list(dict.fromkeys(owners))
 
     transfers: list[Point] = []

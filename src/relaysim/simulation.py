@@ -325,7 +325,7 @@ def _plan_route(
             path = astar(work, _cell(robot.cell, cols), _cell(target, cols))
         except (NoPath, BlockedEndpoint):
             continue
-        return [c.row * cols + c.col for c in path.cells[:0:-1]]
+        return list(path.indices[:0:-1])
     return []
 
 

@@ -586,6 +586,10 @@ class TestUsage:
             ["partition", "--map", "map.json", "--robots", "robots.json", "--svg", "out.svg",
              "--out", "diagram.json"],
             ["render", "--diagram", "diagram.json", "--svg", "out.svg"],
+            *([sub, "--command", COMMAND, "--map", "map.json", "--robots", "robots.json",
+               "--endpoint", "http://127.0.0.1:9/", "--fallback", "on", "--timeout", t]
+              for sub, t in (("plan", "inf"), ("run", "1e400"), ("plan", "-1"),
+                             ("run", "nan"), ("plan", "0"))),
         ],
     )
     def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys, monkeypatch):

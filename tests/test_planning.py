@@ -108,6 +108,8 @@ class TestAstar:
                     astar(grid, start, goal)
                 continue
             path = astar(grid, start, goal)
+            assert path.cols == grid.cols
+            assert path.cells == tuple(GridCell(i % grid.cols, i // grid.cols) for i in path.indices)
             assert len(path.cells) - 1 == expected
             assert path.cells[0] == start and path.cells[-1] == goal
             for a, b in zip(path.cells, path.cells[1:]):

@@ -37,7 +37,7 @@ VALUES = [
     (SemanticMap, ("zones",), ({"kitchen": P},)),
     (TaskSpec, ("pickup", "drop", "item", "source_text"), (P, Q, "cup", "bring it")),
     (InterpreterConfig, ("endpoint", "timeout", "fallback"), ("http://localhost:1/", 2.0, False)),
-    (GridPath, ("cells",), ((GridCell(0, 0), GridCell(0, 1)),)),
+    (GridPath, ("indices", "cols"), ((0, 20), 20)),
     (RelayPlan, ("task", "active", "transfers", "baseline", "transfer_fallback"),
      (TASK, (0, 1), (Point(2.0, 3.0),), False, (True,))),
     (HandoffMessage, ("kind", "task_id", "from_id", "to_id", "at", "tick"),

@@ -12,10 +12,13 @@ checked round (its record digest and failed ops), then --rounds bare rounds,
 each timed with `time.process_time`.
 
 A tree's figure is the median, over its processes, of each process's best
-round. The script prints both figures, the ratio parent / change (above 1:
-the change is faster) and the pairs the change won. If the two trees'
-checked rounds differ in record digest or in failed ops, or a round check
-fails, it prints no ratio and exits 1.
+round; the quartiles of those best rounds are printed beside it. The script
+prints both figures, the ratio parent / change (above 1: the change is
+faster), the pairs the change won, and whether the change meets the claim
+rule: it wins at least 9 of 10 pairs, and its median is below the parent's
+by more than the parent's interquartile range. If the two trees' checked
+rounds differ in record digest or in failed ops, or a round check fails, it
+prints no ratio and exits 1.
 
 cli_run is not offered: its ops run in child processes, whose time
 `process_time` does not count.
@@ -60,6 +63,13 @@ def child(tree: Path, workload: str, rounds: int) -> dict:
     }
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), as `statistics.quantiles(n=4)` gives them."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4))
+
+
 def _run_child(tree: Path, args) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
@@ -82,12 +92,13 @@ def compare(args) -> int:
 
     print(f"{args.workload}: {args.processes} processes per tree, {args.rounds} bare rounds "
           "each; CPU seconds per round, median of each process's best")
-    seen = {}
+    seen, quartiles = {}, {}
     for label in ("parent", "change"):
         outs = runs[label]
         first = outs[0]
         seen[label] = {(o["digest"], o["failed"]) for o in outs}
-        print(f"  {label:6}  {statistics.median(o['best'] for o in outs):.4f} s  "
+        q1, median, q3 = quartiles[label] = _quartiles([o["best"] for o in outs])
+        print(f"  {label:6}  {median:.4f} s (quartiles {q1:.4f}–{q3:.4f})  "
               f"digest {first['digest'][:8]}…  failed {first['failed']}/{first['ops']}  "
               f"{trees[label]}")
     errors = [e for outs in runs.values() for o in outs for e in o["round_errors"]]
@@ -96,11 +107,15 @@ def compare(args) -> int:
             print(f"round check failed: {e}", file=sys.stderr)
         print("no ratio: the trees' checked rounds differ or fail", file=sys.stderr)
         return 1
-    parent = statistics.median(o["best"] for o in runs["parent"])
-    change = statistics.median(o["best"] for o in runs["change"])
+    q1, parent, q3 = quartiles["parent"]
+    change = quartiles["change"][1]
     won = sum(c["best"] < p["best"] for p, c in zip(runs["parent"], runs["change"]))
     print(f"  ratio parent/change {parent / change:.3f}; "
           f"the change won {won} of {args.processes} pairs")
+    met = 10 * won >= 9 * args.processes and parent - change > q3 - q1
+    print(f"  claim rule {'met' if met else 'not met'}: at least 9 of 10 pairs won, and the "
+          f"median gain {parent - change:.4f} s above the parent's interquartile range "
+          f"{q3 - q1:.4f} s")
     return 0
 
 
