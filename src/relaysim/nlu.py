@@ -7,6 +7,7 @@ an external interpreter that speaks a small JSON contract.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import NamedTuple
 
@@ -58,10 +59,26 @@ def task_from_dict(data: dict) -> TaskSpec:
     return task
 
 
-class InterpreterConfig(NamedTuple):
-    endpoint: str | None = None  # set: the external route; None: the grammar
-    timeout: float = 5.0
-    fallback: bool = True
+class _InterpreterConfigFields(NamedTuple):
+    endpoint: str | None  # set: the external route; None: the grammar
+    timeout: float  # seconds
+    fallback: bool
+
+
+class InterpreterConfig(_InterpreterConfigFields):
+    """Which route `interpret` takes, and how long the external one waits."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, endpoint: str | None = None, timeout: float = 5.0, fallback: bool = True
+    ) -> InterpreterConfig:
+        # urlopen raises OverflowError on an infinite timeout, and fails at
+        # once, as if unreachable, on one <= 0
+        t = timeout
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t < math.inf:
+            raise ValueError("timeout must be a finite number > 0")
+        return tuple.__new__(cls, (endpoint, timeout, fallback))
 
 
 def _strip_article(phrase: str) -> str:

@@ -11,6 +11,7 @@ import json
 import math
 import random
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .coordination import (
@@ -117,46 +118,22 @@ class SimConfig(_SimConfigFields, RunConfig):
         return config
 
     def workspace(self) -> Workspace:
-        return Workspace(
-            min_corner=Point(0.0, 0.0),
-            max_corner=Point(float(self.grid_cols), float(self.grid_rows)),
-            grid_cols=self.grid_cols,
-            grid_rows=self.grid_rows,
-        )
+        return _open_grid(self.grid_cols, self.grid_rows).workspace
 
 
-class TrialRecord:
-    """One trial's figures; `run_batch` fills in `seed` and the baseline's
-    after both runs."""
+class TrialRecord(SimpleNamespace):
+    """One trial's figures: `trial_id`, `team_size`, `seed`, `task`,
+    `per_agent_moves`, `baseline_total_moves`, `ticks` and `completed`.
+    `run_batch` fills in `seed` and the baseline's after both runs; the
+    totals are read from `per_agent_moves`."""
 
-    __slots__ = (
-        "trial_id", "team_size", "seed", "task", "active_count", "per_agent_moves",
-        "total_moves", "baseline_total_moves", "ticks", "completed",
-    )
+    @property
+    def active_count(self) -> int:
+        return len(self.per_agent_moves)
 
-    def __init__(
-        self,
-        trial_id: str,
-        team_size: int,
-        seed: str,
-        task: TaskSpec,
-        active_count: int,
-        per_agent_moves: dict[int, int],
-        total_moves: int,
-        baseline_total_moves: int,
-        ticks: int,
-        completed: bool,
-    ) -> None:
-        self.trial_id = trial_id
-        self.team_size = team_size
-        self.seed = seed
-        self.task = task
-        self.active_count = active_count
-        self.per_agent_moves = per_agent_moves
-        self.total_moves = total_moves
-        self.baseline_total_moves = baseline_total_moves
-        self.ticks = ticks
-        self.completed = completed
+    @property
+    def total_moves(self) -> int:
+        return sum(self.per_agent_moves.values())
 
     def to_dict(self) -> dict:
         return {
@@ -209,9 +186,11 @@ class TrialOutcome(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _open_grid(workspace: Workspace) -> OccupancyGrid:
-    """The grid of `workspace` with no blocked cell, one for every trial on
-    it; the grid is read-only, so the figures it caches stay true."""
+def _open_grid(cols: int, rows: int) -> OccupancyGrid:
+    """The grid with no blocked cell of the `cols` x `rows` workspace at the
+    origin, one for every trial of that size; the grid is read-only, so the
+    figures it caches stay true."""
+    workspace = Workspace(Point(0.0, 0.0), Point(float(cols), float(rows)), cols, rows)
     return OccupancyGrid(workspace=workspace)
 
 
@@ -227,7 +206,7 @@ def generate_trial(
     # row-major indices: the same draws as sampling a list of every cell
     drawn = rng.sample(range(cols * rows), team_size)
     taken = set(drawn)
-    grid = _open_grid(config.workspace())
+    grid = _open_grid(cols, rows)
     for _ in range(10_000):
         pc, pr = rng.randrange(cols), rng.randrange(rows)
         dc, dr = rng.randrange(cols), rng.randrange(rows)
@@ -442,15 +421,12 @@ def simulate(
             if nxt in rb.stops:
                 step(rb, FsmEvent(EventKind.ARRIVED_WAYPOINT, tick))
 
-    per_agent = {rid: robots[rid].moves for rid in plan.active}
     record = TrialRecord(
         trial_id=task_id,
         team_size=len(placements),
         seed="",
         task=plan.task,
-        active_count=len(plan.active),
-        per_agent_moves=per_agent,
-        total_moves=sum(per_agent.values()),
+        per_agent_moves={rid: robots[rid].moves for rid in plan.active},
         baseline_total_moves=0,
         ticks=tick,
         completed=completed,
@@ -467,9 +443,8 @@ def run_trial(
     record_trace: bool = False,
 ) -> TrialOutcome:
     """Plan and execute one trial end to end."""
-    workspace = config.workspace()
-    grid = _open_grid(workspace)
-    diagram = compute_voronoi(placements, workspace)
+    grid = _open_grid(config.grid_cols, config.grid_rows)
+    diagram = compute_voronoi(placements, grid.workspace)
     if baseline:
         plan = single_agent_baseline(task, placements, diagram, grid)
     else:

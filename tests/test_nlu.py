@@ -1,5 +1,6 @@
 import http.client
 import json
+import math
 import socket
 import threading
 import time
@@ -240,6 +241,14 @@ class TestInterpretExternal:
         cfg = InterpreterConfig(endpoint=garbage_endpoint, timeout=2.0)
         text = "bring box from kitchen to bedroom"
         assert interpret_external(text, five_zone_map, cfg) == parse_command(text, five_zone_map)
+
+    def test_config_rejects_a_timeout_urlopen_cannot_take(self):
+        # inf made urlopen raise OverflowError past the fallback; 0 and -1
+        # failed every request at once, as if the endpoint were unreachable
+        for timeout in (math.inf, math.nan, 0.0, -1.0, True, "5"):
+            with pytest.raises(ValueError, match="timeout"):
+                InterpreterConfig("http://127.0.0.1:9/", timeout, True)
+        assert InterpreterConfig(timeout=1).timeout == 1
 
     def test_external_mode_requires_endpoint(self, five_zone_map):
         text = "bring box from kitchen to bedroom"

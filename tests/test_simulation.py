@@ -564,12 +564,31 @@ class TestRunBatch:
         assert [r.to_json_line() for r in r1] == [r.to_json_line() for r in r2]
         assert summary_to_csv(s1) == summary_to_csv(s2)
 
-    def test_all_trials_complete_and_baseline_paired(self):
-        summary, records, _ = run_batch(SMALL)
+    def test_all_trials_complete_and_baseline_paired(self, monkeypatch):
+        # one open grid per grid size: the batch builds its workspace once
+        built = []
+        make_workspace = simulation.Workspace
+
+        def counting_workspace(*args, **kwargs):
+            built.append(args)
+            return make_workspace(*args, **kwargs)
+
+        simulation._open_grid.cache_clear()
+        monkeypatch.setattr(simulation, "Workspace", counting_workspace)
+        summary, records, outcomes = run_batch(SMALL)
+        assert len(built) == 1
         assert summary.completion_rate == 1.0
-        for rec in records:
+        for rec, outcome in zip(records, outcomes, strict=True):
             assert rec.baseline_total_moves > 0
             assert rec.seed == trial_seed(SMALL.seed, rec.team_size, int(rec.trial_id.rsplit("-", 1)[1]))
+            # the totals are read from the per-robot moves and cannot be set
+            assert rec.total_moves == sum(rec.per_agent_moves.values())
+            assert rec.active_count == len(outcome.plan.active)
+            for name in ("total_moves", "active_count"):
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, 0)
+            rec.seed = "reassigned"  # as perfbench's house workload does
+            assert rec.seed == "reassigned"
 
     def test_incomplete_baseline_marks_trial_incomplete(self):
         # trial 0's relay finishes in 16 ticks, but its baseline needs 25
