@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -65,11 +64,11 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_seconds(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    with contextlib.suppress(ValueError):
-        if 0 < (seconds := float(text)) < math.inf:
-            return seconds
-    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    """argparse type: a timeout that InterpreterConfig accepts."""
+    try:
+        return nlu.InterpreterConfig(timeout=float(text)).timeout
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number of seconds in (0, 1e9]") from None
 
 
 def _team_sizes(text: str) -> tuple[int, ...]:

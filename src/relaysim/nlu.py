@@ -7,7 +7,6 @@ an external interpreter that speaks a small JSON contract.
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import NamedTuple
 
@@ -73,11 +72,11 @@ class InterpreterConfig(_InterpreterConfigFields):
     def __new__(
         cls, endpoint: str | None = None, timeout: float = 5.0, fallback: bool = True
     ) -> InterpreterConfig:
-        # urlopen raises OverflowError on an infinite timeout, and fails at
-        # once, as if unreachable, on one <= 0
-        t = timeout
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t < math.inf:
-            raise ValueError("timeout must be a finite number > 0")
+        # urlopen raises OverflowError on a timeout past the platform's time_t
+        # (about 9.2e9 s, inf included), and fails at once, as if
+        # unreachable, on one <= 0
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0 < timeout <= 1e9:
+            raise ValueError("timeout must be a number of seconds in (0, 1e9]")
         return tuple.__new__(cls, (endpoint, timeout, fallback))
 
 

@@ -589,7 +589,7 @@ class TestUsage:
             *([sub, "--command", COMMAND, "--map", "map.json", "--robots", "robots.json",
                "--endpoint", "http://127.0.0.1:9/", "--fallback", "on", "--timeout", t]
               for sub, t in (("plan", "inf"), ("run", "1e400"), ("plan", "-1"),
-                             ("run", "nan"), ("plan", "0"))),
+                             ("run", "nan"), ("plan", "0"), ("run", "1e10"))),
         ],
     )
     def test_missing_or_conflicting_inputs_exit_2(self, argv, capsys, monkeypatch):

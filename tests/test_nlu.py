@@ -244,11 +244,13 @@ class TestInterpretExternal:
 
     def test_config_rejects_a_timeout_urlopen_cannot_take(self):
         # inf made urlopen raise OverflowError past the fallback; 0 and -1
-        # failed every request at once, as if the endpoint were unreachable
-        for timeout in (math.inf, math.nan, 0.0, -1.0, True, "5"):
+        # failed every request at once, as if the endpoint were unreachable;
+        # 1e10 passes time_t on 64-bit platforms and overflowed as inf did
+        for timeout in (math.inf, math.nan, 1e10, 0.0, -1.0, True, "5"):
             with pytest.raises(ValueError, match="timeout"):
                 InterpreterConfig("http://127.0.0.1:9/", timeout, True)
         assert InterpreterConfig(timeout=1).timeout == 1
+        assert InterpreterConfig(timeout=1e9).timeout == 1e9
 
     def test_external_mode_requires_endpoint(self, five_zone_map):
         text = "bring box from kitchen to bedroom"
