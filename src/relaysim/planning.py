@@ -209,12 +209,10 @@ def build_relay_plan(
         edge = shared_edge(diagram, a, b)
         if edge is not None:
             z, _ = relay_point(pos[a], pos[b], edge)
-            transfers.append(z)
-            fallback.append(False)
         else:
             z, scan_idx = _crossing_midpoint(owners, path, grid, b, scan_idx)
-            transfers.append(z)
-            fallback.append(True)
+        transfers.append(z)
+        fallback.append(edge is None)
 
     return RelayPlan(
         task=task,

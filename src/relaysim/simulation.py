@@ -100,8 +100,9 @@ class SimConfig(_SimConfigFields, RunConfig):
         sep = min_task_separation
         if isinstance(sep, bool) or not isinstance(sep, (int, float)) or not math.isfinite(sep):
             raise ValueError("min_task_separation must be a finite number")
-        if sep >= math.hypot(grid_cols, grid_rows):
-            raise ValueError("min_task_separation must be below the grid diameter")
+        # the pickup and the drop are cell centres: opposite corners' are farthest apart
+        if sep > math.hypot(grid_cols - 1, grid_rows - 1):
+            raise ValueError("min_task_separation must not exceed the corner centres' distance")
         if not _is_int(trials_per_size) or trials_per_size < 1:
             raise ValueError("trials_per_size must be an integer >= 1")
         if not team_sizes or min(team_sizes) < 1:
@@ -265,27 +266,6 @@ def _transfer_stops(
     return tuple(stops)
 
 
-def _build_robots(
-    plan: RelayPlan, starts: dict[int, int], stops: list[tuple[int, ...]], task_id: str
-) -> dict[int, _Robot]:
-    """A robot, with its leg's FSM and stops, for each robot of the chain;
-    bystanders never act, so they stay start cells."""
-    active = plan.active
-    legs = plan.legs
-    robots: dict[int, _Robot] = {}
-    for j, (rid, nxt) in enumerate(zip(active, (*active[1:], None))):
-        fsm = RobotFsm(
-            robot_id=rid,
-            task_id=task_id,
-            item=plan.task.item,
-            picks_up=j == 0,
-            leg_end=legs[j + 1],
-            peer_next=nxt,
-        )
-        robots[rid] = _Robot(rid, starts[rid], fsm, (stops[j], stops[j + 1]))
-    return robots
-
-
 def _plan_route(
     robot: _Robot, grid: OccupancyGrid, occupied: dict[int, int] | None = None
 ) -> list[int]:
@@ -322,22 +302,12 @@ def simulate(
     check_plan(plan, placements)
     bus = MessageBus(delay=config.message_delay)
     cols = grid.cols
-    # every robot's start cell; only the chain's robots move off theirs
-    starts = {rid: grid.index_of(pos) for rid, pos in placements}
-    # the stops of each of plan.legs, by position: the pickup and the drop
-    # stop on their own cell, every transfer on its transfer stops
-    ends = [grid.index_of(p) for p in plan.legs]
-    task_cells = frozenset((ends[0], ends[-1]))
-    stops = [(ends[0],), *(_transfer_stops(c, grid, task_cells) for c in ends[1:-1]), (ends[-1],)]
-    robots = _build_robots(plan, starts, stops, task_id)
-    # the chain by ascending id, the order in which every phase visits it; a
-    # robot has stops only in NAVIGATE, and one without a free stop stays put
-    chain = [robots[rid] for rid in sorted(robots)]
-    order = sorted(starts)
-    occupied: dict[int, int] = {}
     mask = grid.blocked_mask
-    for rid in order:
-        cell = starts[rid]
+    # where each robot stands: the team is seated on its start cells by
+    # ascending id, and only the chain's robots move off theirs
+    occupied: dict[int, int] = {}
+    for rid, pos in sorted(placements):
+        cell = grid.index_of(pos)
         if cell in occupied:
             raise InvalidStart(
                 f"robots {occupied[cell]} and {rid} start in the same cell {_cell(cell, cols)}"
@@ -345,6 +315,22 @@ def simulate(
         if mask[cell]:
             raise InvalidStart(f"robot {rid} starts in the blocked cell {_cell(cell, cols)}")
         occupied[cell] = rid
+    starts = {rid: cell for cell, rid in occupied.items()}
+    # the stops of each of plan.legs, by position: the pickup and the drop
+    # stop on their own cell, every transfer on its transfer stops
+    ends = [grid.index_of(p) for p in plan.legs]
+    task_cells = frozenset((ends[0], ends[-1]))
+    stops = [(ends[0],), *(_transfer_stops(c, grid, task_cells) for c in ends[1:-1]), (ends[-1],)]
+    # a robot with its leg's FSM and stops for each robot of the chain, in
+    # chain order; bystanders never act, so they only stand in `occupied`
+    robots: dict[int, _Robot] = {}
+    for j, (rid, nxt) in enumerate(zip(plan.active, (*plan.active[1:], None))):
+        fsm = RobotFsm(robot_id=rid, task_id=task_id, item=plan.task.item,
+                       picks_up=j == 0, leg_end=plan.legs[j + 1], peer_next=nxt)
+        robots[rid] = _Robot(rid, starts[rid], fsm, (stops[j], stops[j + 1]))
+    # the chain by ascending id, the order in which every phase visits it; a
+    # robot has stops only in NAVIGATE, and one without a free stop stays put
+    chain = [robots[rid] for rid in sorted(robots)]
     budget = config.tick_budget if config.tick_budget is not None else 10 * grid.cols * grid.rows
 
     trace: list[TickTrace] | None = [] if record_trace else None
@@ -389,7 +375,7 @@ def simulate(
                     progress = True
         if trace is not None:
             carriers = tuple(rb.rid for rb in chain if rb.fsm.carrying is not None)
-            positions = {r: _cell(robots[r].cell if r in robots else starts[r], cols) for r in order}
+            positions = dict(sorted((r, _cell(c, cols)) for c, r in occupied.items()))
             trace.append(TickTrace(tick, carriers, positions))
         # the trial is complete once its TaskComplete is logged; it is the
         # last message, as every other robot has handed the item on by then

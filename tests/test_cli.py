@@ -475,6 +475,9 @@ class TestMalformedInput:
              _map_with_kitchen_at(25, 17.5)),
             (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": math.nan}),
             (["batch", "--seed", "1", "--config", "{bad}"], {"min_task_separation": True}),
+            (["batch", "--seed", "1", "--config", "{bad}"],
+             {"grid_cols": 2, "grid_rows": 2, "team_sizes": [2], "trials_per_size": 1,
+              "min_task_separation": 1.5}),
             (RUN_ROBOTS, [[0, 20.0, 10.5], [1, 15.5, 10.5]]),
             (RUN_ROBOTS, [[0, 25, 10.5], [1, 15.5, 10.5]]),
             (["partition", "--map", "{map}", "--robots", "{bad}", "--svg", "{svg}"],
@@ -523,6 +526,7 @@ class TestMalformedInput:
              "plan-pickup-on-upper-edge", "plan-robot-on-upper-edge",
              "map-anchor-on-upper-edge", "map-anchor-outside-workspace",
              "nan-task-separation-batch-config", "boolean-task-separation-batch-config",
+             "task-separation-beyond-corner-centres-batch-config",
              "robot-on-upper-edge", "robot-outside-workspace", "robot-below-lower-edge",
              "fractional-robot-ids", "boolean-robot-id", "nan-robot-coordinate",
              "boolean-map-cols", "fractional-map-cols", "zero-map-cols",
@@ -802,11 +806,12 @@ class TestBatch:
         assert main(["batch", "--team-sizes", "1", "--trials", "1"]) == EXIT_PARSE
 
     def test_placement_exhausted_exits_3(self, tmp_path, capsys):
-        # no two cell centres of a 2x2 grid lie 1.5 apart, so no task can be placed
+        # seed 2 starts both robots in the 2x2 grid's left column, so the two
+        # cells left for the pickup and the drop lie 1 < 1.2 apart
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"grid_cols": 2, "grid_rows": 2, "team_sizes": [2],
-                                   "trials_per_size": 1, "min_task_separation": 1.5}))
-        assert main(["batch", "--seed", "1", "--config", str(cfg)]) == EXIT_PLANNING
+                                   "trials_per_size": 1, "min_task_separation": 1.2}))
+        assert main(["batch", "--seed", "2", "--config", str(cfg)]) == EXIT_PLANNING
         assert capsys.readouterr().err.splitlines() == [
             "error: could not satisfy task placement constraints"
         ]

@@ -7,7 +7,7 @@ import pytest
 
 from relaysim import geometry, planning, simulation
 from relaysim.coordination import EventKind, MessageKind
-from relaysim.errors import InvalidStart, NoCompletedTrials
+from relaysim.errors import InvalidStart, NoCompletedTrials, PointOutsideWorkspace
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist
 from relaysim.nlu import TaskSpec
 from relaysim.planning import RelayPlan, build_relay_plan, single_agent_baseline
@@ -256,7 +256,18 @@ class TestSingleTrials:
         assert not out.record.completed
         assert out.record.ticks == 10 * 6 * 4
 
-    def test_start_in_a_blocked_cell_is_rejected(self):
+    @pytest.mark.parametrize(
+        "start,wall,error,match",
+        [
+            (Point(5.5, 3.5), GridCell(5, 3), InvalidStart, "robot 1 starts in the blocked cell"),
+            (Point(1.5, 0.5), GridCell(0, 0), InvalidStart,
+             r"robots 0 and 1 start in the same cell GridCell\(col=1, row=0\)"),
+            (Point(6.0, 3.5), GridCell(0, 0), PointOutsideWorkspace, "outside half-open"),
+        ],
+        ids=["blocked", "shared", "outside-workspace"],
+    )
+    def test_start_in_a_blocked_cell_is_rejected(self, start, wall, error, match):
+        """Robot 1 starts on `start` and the grid's one blocked cell is `wall`."""
         workspace = Workspace(Point(0.0, 0.0), Point(6.0, 4.0), 6, 4)
         grid = OccupancyGrid(workspace=workspace, blocked=frozenset({GridCell(0, 0)}))
         placements = [(0, center_of(GridCell(1, 0), grid)), (1, center_of(GridCell(5, 3), grid))]
@@ -268,9 +279,9 @@ class TestSingleTrials:
         )
         plan = build_relay_plan(task, placements, compute_voronoi(placements, workspace), grid)
         simulate(plan, placements, grid, RunConfig())
-        walled = OccupancyGrid(workspace=workspace, blocked=frozenset({GridCell(5, 3)}))
-        with pytest.raises(InvalidStart, match="robot 1 starts in the blocked cell"):
-            simulate(plan, placements, walled, RunConfig())
+        walled = OccupancyGrid(workspace=workspace, blocked=frozenset({wall}))
+        with pytest.raises(error, match=match):
+            simulate(plan, [placements[0], (1, start)], walled, RunConfig())
 
     @pytest.mark.parametrize(
         "change,error",
@@ -696,10 +707,12 @@ def test_trial_seed_is_stable():
 
 
 def test_config_validation():
-    for sep in (100.0, math.nan, math.inf, True, "8"):
+    # the centres of a 20x20 grid's opposite corner cells lie 26.87 apart
+    for sep in (100.0, 26.88, math.nan, math.inf, True, "8"):
         with pytest.raises(ValueError):
             SimConfig(min_task_separation=sep)
-    assert SimConfig(min_task_separation=8).min_task_separation == 8
+    for sep in (8, math.hypot(19, 19)):
+        assert SimConfig(min_task_separation=sep).min_task_separation == sep
     for trials in (0, 2.5):
         with pytest.raises(ValueError):
             SimConfig(trials_per_size=trials)
