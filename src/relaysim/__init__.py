@@ -11,7 +11,7 @@ from .geometry import (
     relay_point,
     shared_edge,
 )
-from .nlu import InterpreterConfig, TaskSpec, interpret_external, parse_command, validate_task
+from .nlu import InterpreterConfig, TaskSpec, interpret_external, parse_command
 from .planning import (
     GridPath,
     RelayPlan,
@@ -36,7 +36,6 @@ __all__ = [
     "TaskSpec",
     "interpret_external",
     "parse_command",
-    "validate_task",
     "GridPath",
     "RelayPlan",
     "astar",

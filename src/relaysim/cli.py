@@ -10,7 +10,6 @@ stdout carries only data.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -56,13 +55,6 @@ def _load_config(path: str | None, config_type: type[simulation.RunConfig]) -> s
     return _load(path, lambda p: _decode_config(p, config_type))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
-
-
 def _positive_seconds(text: str) -> float:
     """argparse type: a timeout that InterpreterConfig accepts."""
     try:
@@ -72,8 +64,8 @@ def _positive_seconds(text: str) -> float:
 
 
 def _team_sizes(text: str) -> tuple[int, ...]:
-    """argparse type: a comma-separated list of positive integers."""
-    return tuple(_positive_int(n) for n in text.split(","))
+    """argparse type: a comma-separated list of integers; SimConfig judges them."""
+    return tuple(int(n) for n in text.split(","))
 
 
 def _interpreter_config(args: argparse.Namespace) -> nlu.InterpreterConfig:
@@ -109,7 +101,6 @@ def _plan_command(
     smap, workspace = _load(args.map, world.load_semantic_map)
     robots = _load_robots(args.robots, workspace)
     task = nlu.interpret(args.command, smap, _interpreter_config(args))
-    nlu.validate_task(task, workspace)
     diagram = geometry.compute_voronoi(robots, workspace)
     grid = world.OccupancyGrid(workspace=workspace)
     return planning.build_relay_plan(task, robots, diagram, grid), robots, workspace, diagram
@@ -153,20 +144,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
     loaded = _load_config(args.config, simulation.SimConfig)
     try:
         config = simulation.SimConfig(**dict(loaded._asdict(), **flags))
-    except ValueError as exc:  # the flags do not fit the configured grid
+    except ValueError as exc:  # a flag breaks a range, or does not fit the configured grid
         raise UsageError(str(exc)) from exc
-    with contextlib.ExitStack() as stack:
-        # open the outputs first, so a bad path fails before the batch runs
-        csv_out, jsonl_out = (
-            stack.enter_context(open(p, "w", encoding="utf-8")) if p else None
-            for p in (args.out_csv, args.out)
-        )
-        summary, records, _ = simulation.run_batch(config)
-        csv_text = simulation.summary_to_csv(summary)
-        if csv_out:
-            csv_out.write(csv_text)
-        if jsonl_out:
-            jsonl_out.writelines(r.to_json_line() + "\n" for r in records)
+    for path in (args.out_csv, args.out):
+        if path:  # a bad path fails before the batch runs; a failed batch keeps the old file
+            open(path, "a", encoding="utf-8").close()
+    summary, records, _ = simulation.run_batch(config)
+    csv_text = simulation.summary_to_csv(summary)
+    if args.out_csv:
+        Path(args.out_csv).write_text(csv_text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text("".join(r.to_json_line() + "\n" for r in records), encoding="utf-8")
     sys.stdout.write(csv_text)
     return EXIT_OK
 
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="SimConfig JSON: batch and RunConfig fields")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--team-sizes", dest="team_sizes", type=_team_sizes, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out-csv", dest="out_csv", default=None)
     p.add_argument("--out", default=None, help="trial records JSONL")
     p.set_defaults(func=cmd_batch)

@@ -13,12 +13,10 @@ from typing import NamedTuple
 from .errors import (
     EndpointUnreachable,
     MalformedResponse,
-    PointOutsideWorkspace,
     SameZone,
-    UnknownZone,
     UnparsableCommand,
 )
-from .geometry import Point, Workspace, point_from_list
+from .geometry import Point, point_from_list
 from .world import SemanticMap, normalize_zone_name, resolve_zone
 
 _VERBS = ("bring", "take", "deliver", "carry", "move")
@@ -95,8 +93,6 @@ def parse_command(text: str, smap: SemanticMap) -> TaskSpec:
     item = normalize_zone_name(_strip_article(m.group("item")))
     pickup_name = _strip_article(m.group("pickup"))
     drop_name = _strip_article(m.group("drop"))
-    if not item:
-        raise UnparsableCommand("missing item")
     pickup = resolve_zone(pickup_name, smap)
     drop = resolve_zone(drop_name, smap)
     if pickup == drop:
@@ -172,13 +168,3 @@ def interpret(text: str, smap: SemanticMap, config: InterpreterConfig) -> TaskSp
     if config.endpoint:
         return interpret_external(text, smap, config)
     return parse_command(text, smap)
-
-
-def validate_task(task: TaskSpec, workspace: Workspace) -> TaskSpec:
-    if not workspace.contains(task.pickup):
-        raise PointOutsideWorkspace("pickup outside workspace")
-    if not workspace.contains(task.drop):
-        raise PointOutsideWorkspace("drop outside workspace")
-    if task.pickup == task.drop:
-        raise SameZone("pickup equals drop")
-    return task

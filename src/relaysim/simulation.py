@@ -499,11 +499,9 @@ def summarize(records: list[TrialRecord]) -> BatchSummary:
             mean_active=mean(actives),
             reduction=reduction,
         )
-    total_trials = sum(s.trials for s in per_size.values())
-    total_done = sum(s.completed for s in per_size.values())
     return BatchSummary(
         per_size=per_size,
-        completion_rate=total_done / total_trials,
+        completion_rate=sum(r.completed for r in records) / len(records),
     )
 
 

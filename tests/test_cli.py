@@ -121,6 +121,16 @@ class TestPlan:
         )
         assert code == EXIT_PARSE
 
+    def test_two_zones_on_one_anchor_exit_2(self, robots_file, tmp_path, capsys):
+        """The grammar route raises SameZone when two names resolve to one point."""
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(_map(zones={"kitchen": [2.5, 17.5], "pantry": [2.5, 17.5]})))
+        code = main(["plan", "--command", "bring the box from the kitchen to the pantry",
+                     "--map", str(path), "--robots", robots_file])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestRun:
     def test_run_from_command(self, map_file, robots_file, tmp_path):
@@ -580,9 +590,7 @@ class TestUsage:
             ["run", "--plan", "plan.json", "--command", COMMAND],
             ["render", "--svg", "out.svg"],
             ["partition", "--map", "map.json", "--robots", "robots.json"],
-            ["batch", "--seed", "1", "--team-sizes", "1", "--trials", "0"],
             ["batch", "--seed", "1", "--team-sizes", ""],
-            ["batch", "--seed", "1", "--team-sizes", "0"],
             ["batch", "--seed", "1", "--team-sizes", "1,x"],
             ["run", "--plan", "plan.json", "--map", "map.json"],
             ["run", "--plan", "plan.json", "--robots", "robots.json"],
@@ -606,24 +614,28 @@ class TestUsage:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_team_size_flag_larger_than_the_grid_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--trials", "1", "--team-sizes", "399"], None),
+            (["--trials", "2", "--team-sizes", "3,3"], "error: team_sizes must not repeat a size"),
+            (["--trials", "0"], None),
+            (["--trials", "-3"], None),
+            (["--team-sizes", "0"], None),
+        ],
+        ids=["team-larger-than-grid", "repeated-team-size", "zero-trials", "negative-trials",
+             "zero-team-size"],
+    )
+    def test_flag_that_breaks_a_config_range_exits_2(self, flags, message, capsys, monkeypatch):
+        """SimConfig judges the batch flags' ranges: one error line, no batch."""
         def run_batch(*args, **kwargs):
-            pytest.fail("run_batch ran although its team size does not fit the grid")
+            pytest.fail("run_batch ran although a flag breaks a SimConfig range")
 
         monkeypatch.setattr(simulation, "run_batch", run_batch)
-        assert main(["batch", "--seed", "3", "--trials", "1", "--team-sizes", "399"]) == 2
+        assert main(["batch", "--seed", "3", *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-
-    def test_repeated_team_size_flag_exits_2(self, capsys, monkeypatch):
-        def run_batch(*args, **kwargs):
-            pytest.fail("run_batch ran although a team size repeats")
-
-        monkeypatch.setattr(simulation, "run_batch", run_batch)
-        assert main(["batch", "--seed", "1", "--trials", "2", "--team-sizes", "3,3"]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: team_sizes must not repeat a size"
-        ]
+        assert message is None or err == [message]
 
 
 # JSON values a mutation writes: small numbers, the float extremes, other types
@@ -789,6 +801,27 @@ class TestBatch:
         monkeypatch.setattr(simulation, "run_batch", run_batch)
         bad = str(tmp_path / "missing" / "out.txt")
         assert main(["batch", "--seed", "1", "--trials", "1", flag, bad]) == EXIT_OTHER
+
+    def test_failed_batch_keeps_the_old_outputs_and_a_rerun_replaces_them(self, tmp_path, capsys):
+        cfg, csv, jsonl = tmp_path / "c.json", tmp_path / "s.csv", tmp_path / "t.jsonl"
+        cfg.write_text(json.dumps({"tick_budget": 1}))
+        csv.write_text("old,results\n")
+        jsonl.write_text('{"old": true}\n')
+        args = ["batch", "--seed", "1", "--trials", "2", "--team-sizes", "3",
+                "--out-csv", str(csv), "--out", str(jsonl)]
+        assert main(args + ["--config", str(cfg)]) == EXIT_PLANNING
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no completed trials for team size 3"
+        ]
+        assert csv.read_text() == "old,results\n"
+        assert jsonl.read_text() == '{"old": true}\n'
+        assert main(args) == EXIT_OK
+        assert csv.read_text() == capsys.readouterr().out
+        assert len(jsonl.read_text().splitlines()) == 2
+
+    def test_outputs_to_the_null_device(self, capsys):
+        args = ["batch", "--seed", "1", "--trials", "1", "--team-sizes", "1"]
+        assert main(args + ["--out-csv", os.devnull, "--out", os.devnull]) == EXIT_OK
 
     def test_default_seed_artifacts_digests(self, tmp_path, capsys):
         """The default-seed summary.csv / trials.jsonl, byte for byte."""

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from relaysim.errors import (
     EndpointUnreachable,
     MalformedResponse,
-    PointOutsideWorkspace,
     SameZone,
     UnknownZone,
     UnparsableCommand,
 )
-from relaysim.geometry import Point, Workspace
-from relaysim.nlu import InterpreterConfig, TaskSpec, interpret_external, parse_command, validate_task
+from relaysim.geometry import Point
+from relaysim.nlu import InterpreterConfig, interpret_external, parse_command
 
 
 class TestParseCommand:
@@ -256,19 +255,3 @@ class TestInterpretExternal:
         text = "bring box from kitchen to bedroom"
         with pytest.raises(ValueError):
             interpret_external(text, five_zone_map, InterpreterConfig())
-
-
-class TestValidateTask:
-    def test_valid_unchanged(self, five_zone_map, workspace20):
-        task = parse_command("bring box from kitchen to bedroom", five_zone_map)
-        assert validate_task(task, workspace20) is task
-
-    def test_same_zone(self, workspace20):
-        task = TaskSpec(pickup=Point(1, 1), drop=Point(1, 1), item="x", source_text="t")
-        with pytest.raises(SameZone):
-            validate_task(task, workspace20)
-
-    def test_outside_workspace(self, workspace20):
-        task = TaskSpec(pickup=Point(1, 1), drop=Point(25, 1), item="x", source_text="t")
-        with pytest.raises(PointOutsideWorkspace):
-            validate_task(task, workspace20)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from relaysim.errors import BlockedEndpoint, CellOutOfBounds, NoPath
+from relaysim.errors import BlockedEndpoint, CellOutOfBounds, NoPath, PointOutsideWorkspace
 from relaysim.geometry import Point, Workspace, compute_voronoi, dist, locate, shared_edge
 from relaysim.nlu import TaskSpec
 from relaysim import planning
@@ -397,6 +397,17 @@ class TestSingleAgentBaseline:
         leg2 = len(astar(grid20, cell_of(pickup, grid20), cell_of(drop, grid20)).cells) - 1
         assert leg1 == bfs_shortest_moves(grid20, cell_of(x, grid20), cell_of(pickup, grid20))
         assert leg2 == bfs_shortest_moves(grid20, cell_of(pickup, grid20), cell_of(drop, grid20))
+
+
+@pytest.mark.parametrize("plan_task", [build_relay_plan, single_agent_baseline])
+@pytest.mark.parametrize("outside", ["pickup", "drop"])
+def test_task_point_outside_the_workspace_raises(plan_task, outside, workspace20, grid20):
+    """The planner owns the rule that a task lies in the workspace."""
+    robots = [(0, Point(5.5, 10.5)), (1, Point(15.5, 10.5))]
+    d = compute_voronoi(robots, workspace20)
+    task = TaskSpec(Point(1.5, 1.5), Point(1.5, 1.5), "box", "cmd")._replace(**{outside: Point(25, 1)})
+    with pytest.raises(PointOutsideWorkspace):
+        plan_task(task, robots, d, grid20)
 
 
 def test_plan_json_round_trip(workspace20, grid20):
